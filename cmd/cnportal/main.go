@@ -7,7 +7,10 @@
 // Usage:
 //
 //	cnportal [-addr :8080] [-nodes N] [-workers W] [-queue Q] [-result-ttl 15m] [-data-dir DIR]
-//	         [-log-level info] [-trace-sample 0.125] [-debug] [-v]
+//	         [-log-level info] [-trace-sample 0.125] [-debug]
+//
+// Diagnostics go to stderr as structured records at -log-level and above:
+// warn marks lost work or data, debug adds routine lifecycle lines.
 package main
 
 import (
@@ -41,7 +44,6 @@ func main() {
 		logLevel   = flag.String("log-level", "info", "structured log level: debug, info, warn, error")
 		sample     = flag.Float64("trace-sample", 0, "distributed-trace root sampling probability (0 = 0.125 default; negative disables tracing)")
 		debug      = flag.Bool("debug", false, "mount net/http/pprof under /debug/pprof/")
-		verbose    = flag.Bool("v", false, "log cluster diagnostics")
 	)
 	flag.Parse()
 
@@ -58,10 +60,6 @@ func main() {
 		return cn.TaskFunc(func(cn.TaskContext) error { return nil })
 	})
 
-	var logf func(string, ...any)
-	if *verbose {
-		logf = log.Printf
-	}
 	c, err := cluster.Start(cluster.Config{
 		Nodes:             *nodes,
 		Registry:          reg,
@@ -69,7 +67,6 @@ func main() {
 		HeartbeatInterval: *heartbeat,
 		MaxTaskRetries:    *maxRetries,
 		StragglerAfter:    *straggler,
-		Logf:              logf,
 		Log:               slogger,
 		TraceSample:       *sample,
 	})
@@ -84,7 +81,6 @@ func main() {
 		QueueDepth:  *queue,
 		ResultTTL:   *resultTTL,
 		DataDir:     *dataDir,
-		Logf:        logf,
 		Log:         slogger,
 		TraceSample: *sample,
 		Debug:       *debug,

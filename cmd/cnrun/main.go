@@ -5,7 +5,10 @@
 //
 // Usage:
 //
-//	cnrun -in client.cnx [-xmi] [-nodes N] [-invocations N] [-timeout D] [-v]
+//	cnrun -in client.cnx [-xmi] [-nodes N] [-invocations N] [-timeout D]
+//
+// Cluster diagnostics at warn level (lost work or data) go to stderr as
+// structured records.
 package main
 
 import (
@@ -13,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"os"
 	"sort"
 	"strings"
@@ -20,6 +24,7 @@ import (
 
 	"cn"
 	"cn/internal/floyd"
+	"cn/internal/logging"
 	"cn/internal/workloads"
 )
 
@@ -33,7 +38,6 @@ func main() {
 		invocations = flag.Int("invocations", 4, "dynamic invocation expansion count")
 		graphSize   = flag.Int("n", 32, "input graph size for transitive-closure jobs")
 		timeout     = flag.Duration("timeout", 60*time.Second, "execution timeout")
-		verbose     = flag.Bool("v", false, "log cluster diagnostics")
 	)
 	flag.Parse()
 	if *in == "" {
@@ -78,11 +82,7 @@ func main() {
 		return cn.TaskFunc(func(cn.TaskContext) error { return nil })
 	})
 
-	var logf func(string, ...any)
-	if *verbose {
-		logf = log.Printf
-	}
-	cluster, err := cn.StartCluster(cn.ClusterOptions{Nodes: *nodes, Registry: reg, Logf: logf})
+	cluster, err := cn.StartCluster(cn.ClusterOptions{Nodes: *nodes, Registry: reg, Log: logging.Default(slog.LevelWarn)})
 	if err != nil {
 		log.Fatal(err)
 	}

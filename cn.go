@@ -239,9 +239,8 @@ type ClusterOptions struct {
 	Jitter  time.Duration
 	Loss    float64
 	Seed    int64
-	// Logf receives server diagnostics; nil disables logging.
-	Logf func(format string, args ...any)
-	// Log receives structured server diagnostics; nil falls back to Logf.
+	// Log receives structured server and transport diagnostics; nil
+	// discards them.
 	Log *slog.Logger
 	// TraceSample is each node's distributed-trace root sampling
 	// probability (0 = the 1-in-8 default; negative disables tracing).
@@ -278,7 +277,6 @@ func StartCluster(opts ClusterOptions) (*Cluster, error) {
 		Loss:              opts.Loss,
 		Seed:              opts.Seed,
 		Registry:          opts.Registry,
-		Logf:              opts.Logf,
 		Log:               opts.Log,
 		TraceSample:       opts.TraceSample,
 	})

@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,6 +24,7 @@ import (
 
 	"cn/internal/archive"
 	"cn/internal/discovery"
+	"cn/internal/logging"
 	"cn/internal/msg"
 	"cn/internal/protocol"
 	"cn/internal/task"
@@ -49,8 +51,8 @@ type Options struct {
 	Policy discovery.Policy
 	// CallTimeout bounds individual request/response calls (0 = 10s).
 	CallTimeout time.Duration
-	// Logf receives diagnostics; nil disables logging.
-	Logf func(format string, args ...any)
+	// Log is the structured logger; nil discards every record.
+	Log *slog.Logger
 	// Tracer makes this client a trace root: job submission opens the
 	// trace (sampling decided there) and every job call carries its
 	// context on the wire. Nil leaves jobs untraced from the client side
@@ -62,6 +64,7 @@ type Options struct {
 type Client struct {
 	opts   Options
 	node   string
+	log    *slog.Logger
 	ep     transport.Endpoint
 	caller *transport.Caller
 
@@ -80,7 +83,7 @@ func Initialize(net transport.Network, opts Options) (*Client, error) {
 	if opts.CallTimeout <= 0 {
 		opts.CallTimeout = 10 * time.Second
 	}
-	c := &Client{opts: opts, node: name, jobs: make(map[string]*Job)}
+	c := &Client{opts: opts, node: name, log: logging.Component(opts.Log, "api", name), jobs: make(map[string]*Job)}
 	ep, err := net.Attach(name, c.handle)
 	if err != nil {
 		return nil, fmt.Errorf("api: initialize: %w", err)
@@ -93,12 +96,6 @@ func Initialize(net transport.Network, opts Options) (*Client, error) {
 // Node returns the client's node name on the fabric.
 func (c *Client) Node() string { return c.node }
 
-func (c *Client) logf(format string, args ...any) {
-	if c.opts.Logf != nil {
-		c.opts.Logf("[client %s] "+format, append([]any{c.node}, args...)...)
-	}
-}
-
 // handle is the client's endpoint dispatch: replies feed the caller, user
 // messages and events feed the owning job.
 func (c *Client) handle(m *msg.Message) {
@@ -109,12 +106,12 @@ func (c *Client) handle(m *msg.Message) {
 	case msg.KindUser:
 		var p protocol.UserPayload
 		if err := protocol.Decode(m, &p); err != nil {
-			c.logf("bad user payload: %v", err)
+			c.log.Warn("bad user payload", "peer", m.From.Node, "err", err)
 			return
 		}
 		if j := c.job(p.JobID); j != nil {
 			if err := j.inbox.TryPut(m); err != nil {
-				c.logf("inbox full, dropping message from %s", p.FromTask)
+				c.log.Warn("inbox full; message dropped", "job", p.JobID, "task", p.FromTask)
 			}
 		}
 	case msg.KindTaskStarted, msg.KindTaskCompleted, msg.KindTaskFailed, msg.KindTaskRetried:
@@ -142,7 +139,7 @@ func (c *Client) handle(m *msg.Message) {
 		}
 		if j := c.job(req.JobID); j != nil && req.NewManager != "" {
 			j.setManager(req.NewManager)
-			c.logf("job %s re-homed to %s", req.JobID, req.NewManager)
+			c.log.Debug("job re-homed", "job", req.JobID, "peer", req.NewManager)
 		}
 	}
 }
@@ -243,7 +240,7 @@ func (c *Client) CreateJobOn(jmNode, name string, req protocol.JobRequirements) 
 	c.mu.Lock()
 	c.jobs[j.ID] = j
 	c.mu.Unlock()
-	c.logf("job %s created on %s", j.ID, jmNode)
+	c.log.Debug("job created", "job", j.ID, "peer", jmNode)
 	return j, nil
 }
 

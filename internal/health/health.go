@@ -15,9 +15,12 @@
 package health
 
 import (
+	"log/slog"
 	"sort"
 	"sync"
 	"time"
+
+	"cn/internal/logging"
 )
 
 // State is a monitored node's liveness classification.
@@ -100,8 +103,8 @@ type Config struct {
 	Sweep time.Duration
 	// Now supplies the clock (nil = time.Now; tests inject fakes).
 	Now func() time.Time
-	// Logf receives diagnostic lines; nil disables logging.
-	Logf func(format string, args ...any)
+	// Log is the structured logger; nil discards every record.
+	Log *slog.Logger
 }
 
 // lease is one node's liveness record.
@@ -150,6 +153,9 @@ func NewMonitor(cfg Config) *Monitor {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
+	if cfg.Log == nil {
+		cfg.Log = logging.Discard()
+	}
 	m := &Monitor{
 		cfg:    cfg,
 		stop:   make(chan struct{}),
@@ -161,12 +167,6 @@ func NewMonitor(cfg Config) *Monitor {
 		go m.sweeper()
 	}
 	return m
-}
-
-func (m *Monitor) logf(format string, args ...any) {
-	if m.cfg.Logf != nil {
-		m.cfg.Logf("[health] "+format, args...)
-	}
 }
 
 // Watch begins tracking a node without requiring a first beat: the lease
@@ -288,7 +288,7 @@ func (m *Monitor) publishLocked(events []Event) {
 			select {
 			case ch <- ev:
 			default:
-				m.logf("subscriber full, dropping %s->%s", ev.Node, ev.State)
+				m.cfg.Log.Warn("subscriber full; transition dropped", "peer", ev.Node, "state", ev.State)
 			}
 		}
 	}
@@ -310,11 +310,11 @@ func (m *Monitor) CheckNow(now time.Time) {
 		case l.state != StateDead && lapse >= m.cfg.DeadAfter:
 			l.state = StateDead
 			events = append(events, Event{Node: node, State: StateDead, At: now, SincePrev: lapse})
-			m.logf("node %s dead (lease lapsed %v)", node, lapse)
+			m.cfg.Log.Debug("node dead", "peer", node, "lapse", lapse)
 		case l.state == StateAlive && lapse >= m.cfg.SuspectAfter:
 			l.state = StateSuspect
 			events = append(events, Event{Node: node, State: StateSuspect, At: now, SincePrev: lapse})
-			m.logf("node %s suspect (lease lapsed %v)", node, lapse)
+			m.cfg.Log.Debug("node suspect", "peer", node, "lapse", lapse)
 		}
 	}
 	m.publishLocked(events)

@@ -134,7 +134,7 @@ func (jm *JobManager) checkpointAll() {
 		data, err := encodeJobCheckpointLocked(j)
 		if err != nil {
 			j.mu.Unlock()
-			jm.logf("job %s: checkpoint encode: %v", j.id, err)
+			jm.log.Warn("checkpoint encode failed", "job", j.id, "err", err)
 			continue
 		}
 		j.ckptSeq++
@@ -150,7 +150,7 @@ func (jm *JobManager) multicastCheckpoint(ck protocol.JMCheckpoint) {
 		msg.Address{},
 		ck)
 	if err := jm.caller.Endpoint().Multicast(protocol.GroupJobManagers, m); err != nil {
-		jm.logf("job %s: checkpoint multicast: %v", ck.JobID, err)
+		jm.log.Warn("checkpoint multicast failed", "job", ck.JobID, "err", err)
 	}
 }
 
@@ -163,7 +163,7 @@ func (jm *JobManager) HandleCheckpoint(m *msg.Message) {
 	}
 	var ck protocol.JMCheckpoint
 	if err := protocol.Decode(m, &ck); err != nil {
-		jm.logf("bad checkpoint: %v", err)
+		jm.log.Warn("bad checkpoint", "peer", m.From.Node, "err", err)
 		return
 	}
 	if ck.Origin == "" || ck.Origin == jm.cfg.Node || ck.JobID == "" {
@@ -234,7 +234,7 @@ func (jm *JobManager) adoptFrom(origin string) {
 		}
 	}
 	if winner != jm.cfg.Node {
-		jm.logf("peer %s dead: %s adopts its %d jobs", origin, winner, len(byJob))
+		jm.log.Debug("peer dead; another manager adopts its jobs", "peer", origin, "adopter", winner, "jobs", len(byJob))
 		return
 	}
 	ids := make([]string, 0, len(byJob))
@@ -244,7 +244,7 @@ func (jm *JobManager) adoptFrom(origin string) {
 	sort.Strings(ids)
 	for _, id := range ids {
 		if err := jm.adoptJob(origin, id, byJob[id].data); err != nil {
-			jm.logf("adopt job %s from dead %s: %v", id, origin, err)
+			jm.log.Warn("adopt job failed", "job", id, "peer", origin, "err", err)
 		}
 	}
 }
@@ -365,7 +365,7 @@ func (jm *JobManager) adoptJob(origin, jobID string, data []byte) error {
 		}
 		resp, err := jm.callAdopt(node, jobID, ck.clientNode, names)
 		if err != nil {
-			jm.logf("job %s: adopt call to %s: %v", jobID, node, err)
+			jm.log.Warn("adopt call failed", "job", jobID, "peer", node, "err", err)
 			continue
 		}
 		for _, b := range resp.Present {
@@ -432,7 +432,7 @@ func (jm *JobManager) adoptJob(origin, jobID string, data []byte) error {
 		msg.Address{Node: ck.clientNode, Job: jobID, Task: protocol.ClientTaskName},
 		protocol.JMAdoptReq{JobID: jobID, NewManager: jm.cfg.Node, ClientNode: ck.clientNode})
 	if err := jm.send(ck.clientNode, nm); err != nil {
-		jm.logf("job %s: notify client of adoption: %v", jobID, err)
+		jm.log.Warn("notify client of adoption failed", "job", jobID, "peer", ck.clientNode, "err", err)
 	}
 	jm.log.Info("job adopted", "job", jobID, "origin", origin,
 		"live", len(present), "orphaned", len(orphans))

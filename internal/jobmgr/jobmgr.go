@@ -87,10 +87,7 @@ type Config struct {
 	// silent compute stretch a healthy task performs, or healthy tasks will
 	// be (harmlessly but wastefully) duplicated.
 	StragglerAfter time.Duration
-	// Logf receives diagnostic lines; nil disables logging.
-	Logf func(format string, args ...any)
-	// Log is the structured logger; when nil, records are bridged through
-	// Logf (or discarded when that is nil too).
+	// Log is the structured logger; nil discards every record.
 	Log *slog.Logger
 	// Tracer records this JobManager's spans into the per-job timelines;
 	// nil disables JM-side tracing (incoming spans are still collected).
@@ -332,7 +329,7 @@ func New(cfg Config, send SendFunc, caller *transport.Caller, freeMem FreeMemFun
 		send:    send,
 		caller:  caller,
 		freeMem: freeMem,
-		log:     logging.Component(logging.Pick(cfg.Log, cfg.Logf), "jobmgr", cfg.Node),
+		log:     logging.Component(cfg.Log, "jobmgr", cfg.Node),
 		tracer:  cfg.Tracer,
 		stop:    make(chan struct{}),
 		jobs:    make(map[string]*jobState),
@@ -341,7 +338,7 @@ func New(cfg Config, send SendFunc, caller *transport.Caller, freeMem FreeMemFun
 		SuspectAfter: cfg.SuspectAfter,
 		DeadAfter:    cfg.DeadAfter,
 		Sweep:        monSweep,
-		Logf:         cfg.Logf,
+		Log:          logging.Component(cfg.Log, "health", cfg.Node),
 	})
 	jm.dir = placement.NewDirectory(placement.Config{
 		TTL:     cfg.PlacementTTL,
@@ -365,7 +362,7 @@ func New(cfg Config, send SendFunc, caller *transport.Caller, freeMem FreeMemFun
 		jm.peers = health.NewMonitor(health.Config{
 			SuspectAfter: 3 * cfg.CheckpointEvery,
 			DeadAfter:    6 * cfg.CheckpointEvery,
-			Logf:         cfg.Logf,
+			Log:          logging.Component(cfg.Log, "health", cfg.Node),
 		})
 		jm.wg.Add(2)
 		go jm.checkpointLoop()
@@ -469,18 +466,12 @@ func (jm *JobManager) evictTombstones(now time.Time) {
 				msg.Address{Node: node, Job: j.id},
 				protocol.CancelJobReq{JobID: j.id, Reason: "job abandoned"})
 			if err := jm.send(node, cm); err != nil {
-				jm.logf("job %s: release abandoned tasks on %s: %v", j.id, node, err)
+				jm.log.Warn("release abandoned tasks failed", "job", j.id, "peer", node, "err", err)
 			}
 		}
 		jm.creditDirectory(abandonedCredits[j])
 		j.queue.Close()
-		jm.logf("job %s evicted (tombstone or abandoned)", j.id)
-	}
-}
-
-func (jm *JobManager) logf(format string, args ...any) {
-	if jm.cfg.Logf != nil {
-		jm.cfg.Logf("[jm %s] "+format, append([]any{jm.cfg.Node}, args...)...)
+		jm.log.Debug("job evicted (tombstone or abandoned)", "job", j.id)
 	}
 }
 
@@ -569,7 +560,7 @@ func (jm *JobManager) JobProgress(jobID string) (Progress, bool) {
 func (jm *JobManager) HandleSolicit(m *msg.Message) *msg.Message {
 	var req protocol.JobRequirements
 	if err := protocol.Decode(m, &req); err != nil {
-		jm.logf("bad jm solicit: %v", err)
+		jm.log.Warn("bad jm solicit", "peer", m.From.Node, "err", err)
 		return nil
 	}
 	jm.mu.Lock()
@@ -662,41 +653,6 @@ func (jm *JobManager) job(id string) (*jobState, error) {
 		return nil, fmt.Errorf("jobmgr %s: unknown job %q", jm.cfg.Node, id)
 	}
 	return j, nil
-}
-
-// HandleCreateTask processes KindCreateTask — the per-task path kept for
-// protocol compatibility. It is a one-element batch: the inline archive
-// bytes become a content-addressed blob and the shared placement engine
-// does the rest. It blocks on solicitation round trips and must run
-// outside the endpoint's dispatch goroutine.
-func (jm *JobManager) HandleCreateTask(m *msg.Message) *msg.Message {
-	var req protocol.CreateTaskReq
-	if err := protocol.Decode(m, &req); err != nil {
-		return jm.errReply(m, fmt.Sprintf("bad create-task request: %v", err))
-	}
-	j, err := jm.job(req.JobID)
-	if err != nil {
-		return jm.errReply(m, err.Error())
-	}
-	item := protocol.TaskCreate{Spec: req.Spec}
-	blobs := map[string][]byte(nil)
-	if len(req.Archive) > 0 {
-		digest := req.Digest
-		if digest == "" {
-			digest = archive.DigestBytes(req.Archive)
-		}
-		item.Archive = protocol.ArchiveRef{Name: req.ArchiveName, Digest: digest}
-		blobs = map[string][]byte{digest: req.Archive}
-	} else if req.Digest != "" {
-		// Digest-only reference: the blob must already be cached on the
-		// TaskManager or stashed with this JobManager by a prior request.
-		item.Archive = protocol.ArchiveRef{Name: req.ArchiveName, Digest: req.Digest}
-	}
-	placements, err := jm.createTasks(j, []protocol.TaskCreate{item}, blobs)
-	if err != nil {
-		return jm.errReply(m, err.Error())
-	}
-	return m.Reply(msg.KindTaskAccepted, msg.MustEncode(protocol.CreateTaskResp{Placement: placements[req.Spec.Name]}))
 }
 
 // HandleCreateTasks processes KindCreateTasks: place an entire task set in
@@ -938,7 +894,7 @@ func (jm *JobManager) placeBatch(j *jobState, items []protocol.TaskCreate, preEx
 						msg.Address{Node: node, Job: j.id},
 						protocol.CancelJobReq{JobID: j.id, Reason: "assignment unacknowledged", Tasks: taskNames})
 					if serr := jm.send(node, rm); serr != nil {
-						jm.logf("job %s: release unacknowledged batch on %s: %v", j.id, node, serr)
+						jm.log.Warn("release unacknowledged batch failed", "job", j.id, "peer", node, "err", serr)
 					}
 					exclMu.Lock()
 					excluded[node] = true
@@ -1012,7 +968,7 @@ func (jm *JobManager) releaseBatch(j *jobState, placements map[string]string, re
 			msg.Address{Node: node, Job: j.id},
 			protocol.CancelJobReq{JobID: j.id, Reason: reason, Tasks: taskNames})
 		if err := jm.send(node, cm); err != nil {
-			jm.logf("job %s: release batch on %s (%s): %v", j.id, node, reason, err)
+			jm.log.Warn("release batch failed", "job", j.id, "peer", node, "reason", reason, "err", err)
 		}
 		jm.dir.Invalidate(node)
 	}
@@ -1104,7 +1060,7 @@ func (jm *JobManager) assignBatch(j *jobState, node string, items []protocol.Tas
 func (jm *JobManager) HandleFetchBlob(m *msg.Message) *msg.Message {
 	var req protocol.FetchBlobReq
 	if err := protocol.Decode(m, &req); err != nil {
-		jm.logf("bad fetch-blob request: %v", err)
+		jm.log.Warn("bad fetch-blob request", "peer", m.From.Node, "err", err)
 		return m.Reply(msg.KindBlobData, msg.MustEncode(protocol.FetchBlobResp{}))
 	}
 	out := make(map[string][]byte, len(req.Digests))
@@ -1143,7 +1099,7 @@ func (jm *JobManager) HandleBlobChunk(m *msg.Message) *msg.Message {
 	}
 	var req protocol.BlobChunkReq
 	if err := protocol.Decode(m, &req); err != nil {
-		jm.logf("bad blob-chunk request: %v", err)
+		jm.log.Warn("bad blob-chunk request", "peer", m.From.Node, "err", err)
 		return ack(protocol.BlobChunkResp{Err: "bad blob-chunk request: " + err.Error()})
 	}
 	j, err := jm.job(req.JobID)
@@ -1230,7 +1186,7 @@ func (jm *JobManager) stageChunk(j *jobState, fromNode string, req *protocol.Blo
 		return fail("reassembled blob hashes to %.12s…, not the declared %.12s…", got, req.Digest)
 	}
 	j.blobs[req.Digest] = sb.buf
-	jm.logf("job %s: staged blob %.12s… (%d bytes, chunked upload from %s)", j.id, req.Digest, sb.total, fromNode)
+	jm.log.Debug("staged chunked blob upload", "job", j.id, "digest", req.Digest, "bytes", sb.total, "peer", fromNode)
 	return protocol.BlobChunkResp{Digest: req.Digest, Offset: sb.total, Total: sb.total}
 }
 
@@ -1374,11 +1330,11 @@ func (jm *JobManager) Enqueue(m *msg.Message) {
 	j, ok := jm.jobs[jobID]
 	jm.mu.Unlock()
 	if !ok {
-		jm.logf("message %s for unknown job %q dropped", m.Kind, jobID)
+		jm.log.Debug("message for unknown job dropped", "job", jobID, "kind", m.Kind)
 		return
 	}
 	if err := j.queue.TryPut(m); err != nil {
-		jm.logf("job %s: queue full, dropping %s", j.id, m.Kind)
+		jm.log.Warn("job queue full; message dropped", "job", j.id, "kind", m.Kind)
 	}
 }
 
@@ -1395,10 +1351,10 @@ func (jm *JobManager) jobWorker(j *jobState) {
 			jm.HandleTaskEvent(m.Kind, m)
 		case msg.KindUser, msg.KindBroadcast:
 			if err := jm.HandleUser(m.Kind, m); err != nil {
-				jm.logf("route user message: %v", err)
+				jm.log.Warn("route user message failed", "job", j.id, "err", err)
 			}
 		default:
-			jm.logf("job %s: unexpected queued kind %s", j.id, m.Kind)
+			jm.log.Warn("unexpected queued kind", "job", j.id, "kind", m.Kind)
 		}
 	}
 }
@@ -1408,7 +1364,7 @@ func (jm *JobManager) jobWorker(j *jobState) {
 func (jm *JobManager) HandleTaskEvent(kind msg.Kind, m *msg.Message) {
 	var ev protocol.TaskEvent
 	if err := protocol.Decode(m, &ev); err != nil {
-		jm.logf("bad task event: %v", err)
+		jm.log.Warn("bad task event", "peer", m.From.Node, "err", err)
 		return
 	}
 	jm.onTaskEvent(kind, &ev)
@@ -1417,7 +1373,7 @@ func (jm *JobManager) HandleTaskEvent(kind msg.Kind, m *msg.Message) {
 func (jm *JobManager) onTaskEvent(kind msg.Kind, ev *protocol.TaskEvent) {
 	j, err := jm.job(ev.JobID)
 	if err != nil {
-		jm.logf("event %s for unknown job %s", kind, ev.JobID)
+		jm.log.Debug("event for unknown job", "job", ev.JobID, "task", ev.Task, "kind", kind)
 		return
 	}
 
@@ -1461,7 +1417,7 @@ func (jm *JobManager) onTaskEvent(kind msg.Kind, ev *protocol.TaskEvent) {
 			// duplicate (the other copy won earlier); otherwise it is an
 			// out-of-protocol event worth a diagnostic.
 			if twin == "" && j.retries[ev.Task] == 0 {
-				jm.logf("job %s: %v", j.id, cerr)
+				jm.log.Warn("out-of-protocol task event", "job", j.id, "task", ev.Task, "err", cerr)
 			}
 			forward = false
 			break
@@ -1525,7 +1481,7 @@ func (jm *JobManager) onTaskEvent(kind msg.Kind, ev *protocol.TaskEvent) {
 		default:
 			j.taskErrs[ev.Task] = ev.Err
 			if !j.schedule.FailAny(ev.Task) {
-				jm.logf("job %s: fail %q: already terminal", j.id, ev.Task)
+				jm.log.Debug("task failure after terminal state", "job", j.id, "task", ev.Task)
 			} else if sp := j.specs[ev.Task]; sp != nil && ev.Node != "" {
 				// The TaskManager freed the reservation when the task died;
 				// credit the cached offer too.
@@ -1567,7 +1523,7 @@ func (jm *JobManager) cancelCopy(j *jobState, node, taskName string) {
 		msg.Address{Node: node, Job: j.id},
 		protocol.CancelJobReq{JobID: j.id, Reason: "duplicate copy lost", Tasks: []string{taskName}})
 	if err := jm.send(node, cm); err != nil {
-		jm.logf("job %s: cancel losing copy of %q on %s: %v", j.id, taskName, node, err)
+		jm.log.Warn("cancel losing copy failed", "job", j.id, "task", taskName, "peer", node, "err", err)
 	}
 }
 
@@ -1612,7 +1568,7 @@ func (jm *JobManager) finishJob(j *jobState, failed bool) {
 				msg.Address{Node: node, Job: j.id},
 				protocol.CancelJobReq{JobID: j.id, Reason: "job failed"})
 			if err := jm.send(node, cm); err != nil {
-				jm.logf("job %s: cancel on %s: %v", j.id, node, err)
+				jm.log.Warn("cancel failed", "job", j.id, "peer", node, "err", err)
 			}
 		}
 		jm.creditDirectory(credits)
@@ -1630,7 +1586,7 @@ func (jm *JobManager) finishJob(j *jobState, failed bool) {
 		msg.Address{Node: client, Job: j.id, Task: protocol.ClientTaskName},
 		ev)
 	if err := jm.send(client, em); err != nil {
-		jm.logf("job %s: notify client: %v", j.id, err)
+		jm.log.Warn("notify client failed", "job", j.id, "peer", client, "err", err)
 	}
 	// A terminal anchor span marks when the job finished; the timeline
 	// stays queryable through the tombstone.
@@ -1647,7 +1603,7 @@ func (jm *JobManager) forwardToClient(j *jobState, kind msg.Kind, ev *protocol.T
 		msg.Address{Node: j.clientNode, Job: j.id, Task: protocol.ClientTaskName},
 		*ev)
 	if err := jm.send(j.clientNode, m); err != nil {
-		jm.logf("job %s: forward %s to client: %v", j.id, kind, err)
+		jm.log.Warn("forward event to client failed", "job", j.id, "task", ev.Task, "kind", kind, "peer", j.clientNode, "err", err)
 	}
 }
 
@@ -1680,7 +1636,7 @@ func (jm *JobManager) HandleUser(kind msg.Kind, m *msg.Message) error {
 				msg.Address{Node: node, Job: j.id, Task: t},
 				fp).SetHeader(protocol.HeaderRouted, "1")
 			if err := jm.send(node, fm); err != nil {
-				jm.logf("job %s: broadcast to %s/%s: %v", j.id, node, t, err)
+				jm.log.Warn("broadcast delivery failed", "job", j.id, "task", t, "peer", node, "err", err)
 			}
 		}
 		return nil
@@ -1751,10 +1707,10 @@ func (jm *JobManager) finishJobCancelled(j *jobState, reason string) {
 			msg.Address{Node: node, Job: j.id},
 			protocol.CancelJobReq{JobID: j.id, Reason: reason})
 		if err := jm.send(node, cm); err != nil {
-			jm.logf("job %s: cancel on %s: %v", j.id, node, err)
+			jm.log.Warn("cancel failed", "job", j.id, "peer", node, "err", err)
 		}
 	}
-	jm.logf("job %s cancelled: %s", j.id, reason)
+	jm.log.Debug("job cancelled", "job", j.id, "reason", reason)
 }
 
 // Close marks the JobManager unwilling to host further jobs and stops the

@@ -66,7 +66,7 @@ func (jm *JobManager) liveNodes() map[string]bool {
 func (jm *JobManager) HandleHeartbeat(m *msg.Message) *msg.Message {
 	var hb protocol.Heartbeat
 	if err := protocol.Decode(m, &hb); err != nil {
-		jm.logf("bad heartbeat: %v", err)
+		jm.log.Warn("bad heartbeat", "peer", m.From.Node, "err", err)
 		return nil
 	}
 	node := hb.Node
@@ -191,12 +191,12 @@ func (jm *JobManager) watchHealth() {
 				// Suspect nodes are excluded from new plans but their
 				// tasks keep running: a late beat resurrects them cheaply.
 				jm.dir.Evict(ev.Node)
-				jm.logf("node %s suspect; excluded from placement", ev.Node)
+				jm.log.Warn("node suspect; excluded from placement", "peer", ev.Node)
 			case health.StateDead:
 				jm.recoverNode(ev.Node)
 			case health.StateAlive:
 				// Resurrection: the next solicitation round re-admits it.
-				jm.logf("node %s alive again", ev.Node)
+				jm.log.Debug("node alive again", "peer", ev.Node)
 			}
 		}
 	}
@@ -276,7 +276,7 @@ func (jm *JobManager) recoverNode(node string) {
 	// The node's lease record has served its purpose; a resurrected node
 	// re-registers when it next hosts tasks for this JobManager.
 	jm.monitor.Forget(node)
-	jm.logf("node %s dead: %d orphaned tasks recovered", node, recovered)
+	jm.log.Warn("node dead; orphaned tasks recovered", "peer", node, "tasks", recovered)
 }
 
 // retryOrFail routes a single task into the recovery path after its exec
@@ -534,7 +534,7 @@ func (jm *JobManager) speculate(j *jobState, name string) {
 		j.retries[name]--
 		delete(j.retrying, name)
 		j.mu.Unlock()
-		jm.logf("job %s: cannot speculate %q: %v", j.id, name, err)
+		jm.log.Debug("cannot speculate", "job", j.id, "task", name, "err", err)
 		return
 	}
 	node := placements[name]
@@ -566,7 +566,7 @@ func (jm *JobManager) speculate(j *jobState, name string) {
 	if err := jm.send(node, em); err != nil {
 		// The twin never ran: release its reservation, return the budget
 		// unit, and do not advertise a retry that did not happen.
-		jm.logf("job %s: start twin %q on %s: %v", j.id, name, node, err)
+		jm.log.Warn("start speculative twin failed", "job", j.id, "task", name, "peer", node, "err", err)
 		j.mu.Lock()
 		if j.speculative[name] == node {
 			delete(j.speculative, name)
@@ -581,5 +581,5 @@ func (jm *JobManager) speculate(j *jobState, name string) {
 		JobID: j.id, Task: name, Node: node,
 		Err: reason, Attempt: attempt, Speculative: true,
 	})
-	jm.logf("job %s: speculating %q on %s (primary %s)", j.id, name, node, primary)
+	jm.log.Debug("speculating", "job", j.id, "task", name, "peer", node, "primary", primary)
 }

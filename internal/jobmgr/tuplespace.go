@@ -206,7 +206,7 @@ func (jm *JobManager) tsOp(j *jobState, m *msg.Message, req *protocol.TSOpReq) *
 			// back for the live workers.
 			if err == nil && kind == msg.KindTSIn {
 				if oerr := j.space.Out(t); oerr == nil {
-					jm.logf("job %s: returned tuple %s after cancelled park from %s", j.id, t, m.From.Node)
+					jm.log.Debug("returned tuple after cancelled park", "job", j.id, "tuple", t, "peer", m.From.Node)
 				}
 			}
 			return nil
@@ -230,7 +230,7 @@ func (jm *JobManager) tsOp(j *jobState, m *msg.Message, req *protocol.TSOpReq) *
 func (jm *JobManager) HandleTSCancel(m *msg.Message) {
 	var req protocol.TSCancelReq
 	if err := protocol.Decode(m, &req); err != nil {
-		jm.logf("bad ts-cancel: %v", err)
+		jm.log.Warn("bad ts-cancel", "peer", m.From.Node, "err", err)
 		return
 	}
 	jm.parked.abort(tsParkKey(m.From.Node, req.ReqID))
@@ -267,8 +267,8 @@ func (jm *JobManager) ReturnTSTuple(req, reply *msg.Message) {
 	// A closed space (job already terminal) rejects the put-back; nothing
 	// is waiting on it anymore.
 	if err := j.space.Out(t); err == nil {
-		jm.logf("job %s: returned tuple %s after undeliverable %s reply to %s",
-			j.id, t, req.Kind, req.From.Node)
+		jm.log.Debug("returned tuple after undeliverable reply", "job", j.id,
+			"tuple", t, "kind", req.Kind, "peer", req.From.Node)
 	}
 }
 

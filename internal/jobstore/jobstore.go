@@ -16,10 +16,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"cn/internal/logging"
 	"cn/internal/metrics"
 )
 
@@ -148,8 +150,8 @@ type Config struct {
 	// re-enter the queue and re-run. The caller owns the backend's
 	// lifetime; the store never calls Backend.Close.
 	Backend Backend
-	// Logf receives diagnostics; nil disables logging.
-	Logf func(format string, args ...any)
+	// Log is the structured logger; nil discards every record.
+	Log *slog.Logger
 }
 
 // Job is one tracked submission. The store owns all state transitions;
@@ -256,6 +258,7 @@ type Stats struct {
 type Store struct {
 	cfg  Config
 	reg  *metrics.Registry
+	log  *slog.Logger
 	stop chan struct{}
 	// wake signals workers that pending may be non-empty. Sends are
 	// non-blocking: a dropped signal means the buffer already holds
@@ -299,6 +302,7 @@ func New(cfg Config) (*Store, error) {
 	s := &Store{
 		cfg:  cfg,
 		reg:  reg,
+		log:  logging.Component(cfg.Log, "jobstore", ""),
 		stop: make(chan struct{}),
 		wake: make(chan struct{}, cfg.Workers),
 		jobs: make(map[string]*Job),
@@ -365,7 +369,7 @@ func (s *Store) replay() error {
 	s.reg.Gauge("jobstore.queue_depth").Set(int64(len(s.pending)))
 	s.seq.Store(maxSeq)
 	if len(pjs) > 0 {
-		s.logf("replayed %d persisted jobs (%d re-queued)", len(pjs), requeued)
+		s.log.Debug("replayed persisted jobs", "jobs", len(pjs), "requeued", requeued)
 	}
 	return nil
 }
@@ -391,13 +395,7 @@ func (s *Store) persistLocked(j *Job) {
 		Error:       j.errText,
 	}
 	if err := s.cfg.Backend.Put(pj); err != nil {
-		s.logf("persist job %s: %v", j.id, err)
-	}
-}
-
-func (s *Store) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf("[jobstore] "+format, args...)
+		s.log.Warn("persist job failed", "job", j.id, "err", err)
 	}
 }
 
@@ -455,7 +453,7 @@ func (s *Store) Submit(sub Submission) (*Record, error) {
 	case s.wake <- struct{}{}:
 	default:
 	}
-	s.logf("job %s queued (%s, %d bytes)", id, sub.Format, len(sub.Body))
+	s.log.Debug("job queued", "job", id, "format", sub.Format, "bytes", len(sub.Body))
 	return rec, nil
 }
 
@@ -559,7 +557,7 @@ func (s *Store) Delete(id string) (*Record, error) {
 		rec := j.snapshotLocked()
 		j.mu.Unlock()
 		s.mu.Unlock()
-		s.logf("job %s aborted while queued", id)
+		s.log.Debug("job aborted while queued", "job", id)
 		return rec, nil
 	case !j.state.Terminal():
 		j.aborted = true
@@ -569,14 +567,14 @@ func (s *Store) Delete(id string) (*Record, error) {
 		rec := j.snapshotLocked()
 		j.mu.Unlock()
 		s.mu.Unlock()
-		s.logf("job %s abort requested (%s)", id, rec.State)
+		s.log.Debug("job abort requested", "job", id, "state", rec.State)
 		return rec, nil
 	default:
 		rec := j.snapshotLocked()
 		j.mu.Unlock()
 		s.mu.Unlock()
 		s.remove(j)
-		s.logf("job %s record deleted (%s)", id, rec.State)
+		s.log.Debug("job record deleted", "job", id, "state", rec.State)
 		return rec, nil
 	}
 }
@@ -612,7 +610,7 @@ func (s *Store) remove(j *Job) {
 	}
 	if s.cfg.Backend != nil {
 		if err := s.cfg.Backend.Delete(j.id); err != nil {
-			s.logf("unpersist job %s: %v", j.id, err)
+			s.log.Warn("unpersist job failed", "job", j.id, "err", err)
 		}
 	}
 	s.mu.Unlock()
@@ -719,7 +717,7 @@ func (s *Store) run(j *Job) {
 	j.mu.Unlock()
 	s.reg.Histogram("jobstore.run_ms").ObserveDuration(j.runDur)
 	s.reg.Histogram("jobstore.total_ms").ObserveDuration(j.finishedAt.Sub(j.submittedAt))
-	s.logf("job %s %s after %s (queue %s)", j.id, state, j.runDur.Round(time.Millisecond), j.queueWait.Round(time.Millisecond))
+	s.log.Debug("job finished", "job", j.id, "state", state, "run", j.runDur, "queue", j.queueWait)
 }
 
 // janitor evicts terminal records past the TTL.
@@ -752,7 +750,7 @@ func (s *Store) sweep(now time.Time) {
 	for _, j := range expired {
 		s.remove(j)
 		s.reg.Counter("jobstore.evicted").Inc()
-		s.logf("job %s evicted (TTL)", j.id)
+		s.log.Debug("job evicted (TTL)", "job", j.id)
 	}
 }
 

@@ -1,15 +1,19 @@
 package jobstore_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"cn/internal/jobstore"
+	"cn/internal/logging"
 )
 
 // waitState polls until the job reaches want (or any terminal state when
@@ -487,5 +491,58 @@ func TestMetricsInstrumentation(t *testing.T) {
 	}
 	if snap.Histograms["jobstore.run_ms"].Count != 1 {
 		t.Errorf("run_ms histogram = %+v", snap.Histograms["jobstore.run_ms"])
+	}
+}
+
+// failingPutBackend is a backend whose appends always fail.
+type failingPutBackend struct{ *jobstore.MemBackend }
+
+func (failingPutBackend) Put(*jobstore.PersistedJob) error { return errors.New("disk full") }
+
+// syncBuffer is a bytes.Buffer safe for a logger written from workers.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (w *syncBuffer) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.b.Write(p)
+}
+
+func (w *syncBuffer) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.b.String()
+}
+
+// TestPersistFailureLoggedAtWarn: with only a structured logger configured
+// at the default info level, a failed WAL append must surface as a Warn
+// record carrying the jobstore component, not vanish.
+func TestPersistFailureLoggedAtWarn(t *testing.T) {
+	var buf syncBuffer
+	s, err := jobstore.New(jobstore.Config{
+		Exec:    func(context.Context, *jobstore.Job) (any, error) { return nil, nil },
+		Backend: failingPutBackend{jobstore.NewMemBackend()},
+		Log:     logging.New(&buf, slog.LevelInfo),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rec, err := s.Submit(jobstore.Submission{Format: "cnx", Body: []byte("doc")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, rec.ID, jobstore.StateDone)
+	out := buf.String()
+	for _, want := range []string{"level=WARN", "persist job failed", "component=jobstore", "job=" + rec.ID, "disk full"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("log output missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "level=DEBUG") {
+		t.Errorf("debug record passed an info-level logger:\n%s", out)
 	}
 }

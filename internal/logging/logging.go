@@ -1,10 +1,10 @@
 // Package logging centralizes CN's structured logging on log/slog. Every
 // component logs through a *slog.Logger carrying component/node attrs
-// (plus job/task attrs per record), leveled and flag-configurable from
-// the cmds. The legacy printf seam (Config.Logf) is bridged in both
-// directions so existing tests and harnesses keep working: a component
-// given only a Logf sink still emits structured records through it, and
-// code that wants a printf function can wrap a logger.
+// (plus job/task/peer/err attrs per record), leveled and
+// flag-configurable from the cmds. Level policy: Warn marks lost work or
+// data (dropped connections, persist failures, failed heartbeats,
+// undeliverable replies), Info marks job milestones, Debug marks routine
+// lifecycle chatter.
 package logging
 
 import (
@@ -14,7 +14,6 @@ import (
 	"log/slog"
 	"os"
 	"strings"
-	"sync"
 )
 
 // ParseLevel maps a -log-level flag value to a slog.Level.
@@ -52,79 +51,11 @@ func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
 func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
 func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
-// Component returns log with the standard component/node attrs attached.
+// Component returns log with the standard component/node attrs attached;
+// a nil log yields a discard logger.
 func Component(log *slog.Logger, component, node string) *slog.Logger {
 	if log == nil {
 		return Discard()
 	}
 	return log.With(slog.String("component", component), slog.String("node", node))
-}
-
-// FromLogf bridges a legacy printf sink into slog: records render as one
-// line of "msg k=v k=v" through logf. Used by components whose Config
-// carries only the old Logf seam (tests passing t.Logf, the cluster
-// harness); a nil logf yields a discard logger.
-func FromLogf(logf func(format string, args ...any)) *slog.Logger {
-	if logf == nil {
-		return Discard()
-	}
-	return slog.New(&logfHandler{logf: logf})
-}
-
-// logfHandler renders records through a printf sink. Attrs accumulated
-// via With are replayed ahead of per-record attrs.
-type logfHandler struct {
-	logf  func(format string, args ...any)
-	attrs []slog.Attr
-	mu    sync.Mutex
-}
-
-func (h *logfHandler) Enabled(_ context.Context, level slog.Level) bool {
-	// The legacy seam had no levels; keep debug chatter out of it.
-	return level >= slog.LevelInfo
-}
-
-func (h *logfHandler) Handle(_ context.Context, rec slog.Record) error {
-	var b strings.Builder
-	b.WriteString(rec.Message)
-	appendAttr := func(a slog.Attr) bool {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value.Any())
-		return true
-	}
-	for _, a := range h.attrs {
-		appendAttr(a)
-	}
-	rec.Attrs(appendAttr)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.logf("%s", b.String())
-	return nil
-}
-
-func (h *logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	return &logfHandler{logf: h.logf, attrs: append(append([]slog.Attr(nil), h.attrs...), attrs...)}
-}
-
-func (h *logfHandler) WithGroup(string) slog.Handler { return h }
-
-// Logf wraps a logger back into the legacy printf seam at Info level, for
-// call sites (sub-components, the transport) that still take a printf
-// function.
-func Logf(log *slog.Logger) func(format string, args ...any) {
-	if log == nil {
-		return nil
-	}
-	return func(format string, args ...any) {
-		log.Info(fmt.Sprintf(format, args...))
-	}
-}
-
-// Pick resolves a component's effective logger from its Config seams:
-// an explicit structured logger wins, else the legacy printf sink is
-// bridged, else everything is discarded.
-func Pick(log *slog.Logger, logf func(format string, args ...any)) *slog.Logger {
-	if log != nil {
-		return log
-	}
-	return FromLogf(logf)
 }

@@ -2,7 +2,6 @@ package logging
 
 import (
 	"bytes"
-	"fmt"
 	"log/slog"
 	"strings"
 	"testing"
@@ -48,52 +47,5 @@ func TestDiscard(t *testing.T) {
 	log.Info("nothing") // must not panic
 	if log.Enabled(nil, slog.LevelError) {
 		t.Error("discard logger claims to be enabled")
-	}
-}
-
-func TestFromLogfBridge(t *testing.T) {
-	var lines []string
-	logf := func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
-	log := Component(FromLogf(logf), "taskmgr", "n2")
-	log.Debug("chatter")
-	log.Info("assigned", "job", "j1", "task", "t1")
-	if len(lines) != 1 {
-		t.Fatalf("bridge produced %d lines, want 1 (debug suppressed): %v", len(lines), lines)
-	}
-	for _, want := range []string{"assigned", "component=taskmgr", "node=n2", "job=j1", "task=t1"} {
-		if !strings.Contains(lines[0], want) {
-			t.Errorf("line %q missing %q", lines[0], want)
-		}
-	}
-	if FromLogf(nil).Enabled(nil, slog.LevelError) {
-		t.Error("FromLogf(nil) not discarded")
-	}
-}
-
-func TestLogfAdapter(t *testing.T) {
-	var buf bytes.Buffer
-	logf := Logf(New(&buf, slog.LevelInfo))
-	logf("count=%d", 7)
-	if !strings.Contains(buf.String(), "count=7") {
-		t.Errorf("adapter output %q", buf.String())
-	}
-	if Logf(nil) != nil {
-		t.Error("Logf(nil) should be nil")
-	}
-}
-
-func TestPick(t *testing.T) {
-	var buf bytes.Buffer
-	explicit := New(&buf, slog.LevelInfo)
-	if Pick(explicit, nil) != explicit {
-		t.Error("explicit logger not picked")
-	}
-	if Pick(nil, nil).Enabled(nil, slog.LevelError) {
-		t.Error("Pick(nil, nil) not discarded")
-	}
-	var lines int
-	Pick(nil, func(string, ...any) { lines++ }).Info("x")
-	if lines != 1 {
-		t.Errorf("bridged pick wrote %d lines, want 1", lines)
 	}
 }

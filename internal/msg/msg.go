@@ -28,7 +28,9 @@ type Kind int
 
 // Well-defined CN message kinds. The request/response pairing follows the
 // paper's "Message Request / expected Message Action / expected Message
-// Response" structure.
+// Response" structure. A kind's number is wire format: append only, and a
+// retired kind leaves a reserved placeholder so every later kind keeps its
+// number.
 const (
 	// KindInvalid is the zero Kind and never appears on the wire.
 	KindInvalid Kind = iota
@@ -40,8 +42,8 @@ const (
 	// Job lifecycle (client -> selected JobManager).
 	KindCreateJob     // request: create a job
 	KindJobCreated    // response: job handle
-	KindCreateTask    // request: add a task to a job
-	KindTaskAccepted  // response: task registered and placed
+	kindRetired5      // reserved: the retired per-task CREATE_TASK request
+	kindRetired6      // reserved: the retired per-task TASK_ACCEPTED response
 	KindStartTask     // request: start a named task
 	KindTaskStarted   // event: task began executing
 	KindTaskCompleted // event: task terminated normally
@@ -53,8 +55,8 @@ const (
 	// Task placement (JobManager -> TaskManagers via multicast).
 	KindTaskSolicit // request: who can execute this task?
 	KindTaskOffer   // response: this TaskManager is willing
-	KindUploadJar   // request: archive bytes for a placed task
-	KindJarUploaded // response: archive stored and verified
+	kindRetired16   // reserved: the retired per-task UPLOAD_JAR request
+	kindRetired17   // reserved: the retired per-task JAR_UPLOADED response
 	KindExecTask    // request: JobManager tells a TaskManager to run a task
 
 	// Batch placement and content-addressed archive distribution.
@@ -125,8 +127,8 @@ var kindNames = map[Kind]string{
 	KindJobManagerOffer:   "JM_OFFER",
 	KindCreateJob:         "CREATE_JOB",
 	KindJobCreated:        "JOB_CREATED",
-	KindCreateTask:        "CREATE_TASK",
-	KindTaskAccepted:      "TASK_ACCEPTED",
+	kindRetired5:          "RETIRED_CREATE_TASK",
+	kindRetired6:          "RETIRED_TASK_ACCEPTED",
 	KindStartTask:         "START_TASK",
 	KindTaskStarted:       "TASK_STARTED",
 	KindTaskCompleted:     "TASK_COMPLETED",
@@ -136,8 +138,8 @@ var kindNames = map[Kind]string{
 	KindJobFailed:         "JOB_FAILED",
 	KindTaskSolicit:       "TASK_SOLICIT",
 	KindTaskOffer:         "TASK_OFFER",
-	KindUploadJar:         "UPLOAD_JAR",
-	KindJarUploaded:       "JAR_UPLOADED",
+	kindRetired16:         "RETIRED_UPLOAD_JAR",
+	kindRetired17:         "RETIRED_JAR_UPLOADED",
 	KindExecTask:          "EXEC_TASK",
 	KindCreateTasks:       "CREATE_TASKS",
 	KindTasksAccepted:     "TASKS_ACCEPTED",
@@ -183,7 +185,11 @@ func (k Kind) String() string {
 // IsWellDefined reports whether k is part of the CN protocol (as opposed to
 // a user-defined payload that CN merely delivers).
 func (k Kind) IsWellDefined() bool {
-	return k > KindInvalid && k < kindEnd && k != KindUser && k != KindBroadcast
+	switch k {
+	case KindUser, KindBroadcast, kindRetired5, kindRetired6, kindRetired16, kindRetired17:
+		return false
+	}
+	return k > KindInvalid && k < kindEnd
 }
 
 // IsEvent reports whether k is an asynchronous lifecycle event (as opposed

@@ -66,6 +66,77 @@ func TestDataKinds(t *testing.T) {
 	}
 }
 
+// TestKindNumbersPinned: a kind's number is wire format. Every surviving
+// kind keeps the number it had before the per-task kinds were retired, and
+// the retired numbers stay reserved (named, but not well-defined).
+func TestKindNumbersPinned(t *testing.T) {
+	for k, want := range map[Kind]int{
+		KindJobManagerSolicit: 1,
+		KindJobManagerOffer:   2,
+		KindCreateJob:         3,
+		KindJobCreated:        4,
+		KindStartTask:         7,
+		KindTaskStarted:       8,
+		KindTaskCompleted:     9,
+		KindTaskFailed:        10,
+		KindCancelJob:         11,
+		KindJobCompleted:      12,
+		KindJobFailed:         13,
+		KindTaskSolicit:       14,
+		KindTaskOffer:         15,
+		KindExecTask:          18,
+		KindCreateTasks:       19,
+		KindTasksAccepted:     20,
+		KindAssignTasks:       21,
+		KindTasksAssigned:     22,
+		KindFetchBlob:         23,
+		KindBlobData:          24,
+		KindUser:              25,
+		KindBroadcast:         26,
+		KindPing:              27,
+		KindPong:              28,
+		KindShutdown:          29,
+		KindHeartbeat:         30,
+		KindHeartbeatAck:      31,
+		KindTaskRetried:       32,
+		KindTSOut:             33,
+		KindTSIn:              34,
+		KindTSRd:              35,
+		KindTSInP:             36,
+		KindTSRdP:             37,
+		KindTSReply:           38,
+		KindTSCancel:          39,
+		KindBlobChunk:         40,
+		KindBlobChunkAck:      41,
+		KindJMCheckpoint:      42,
+		KindJMAdopt:           43,
+		KindDataPut:           44,
+		KindDataResolve:       45,
+		KindDataLoc:           46,
+		KindDataFetch:         47,
+		KindStatsPull:         48,
+		KindStatsReport:       49,
+	} {
+		if int(k) != want {
+			t.Errorf("%v = %d, want %d", k, int(k), want)
+		}
+		if !k.IsWellDefined() && k != KindUser && k != KindBroadcast {
+			t.Errorf("%v is not well-defined", k)
+		}
+	}
+	for k, want := range map[Kind]int{kindRetired5: 5, kindRetired6: 6, kindRetired16: 16, kindRetired17: 17} {
+		if int(k) != want {
+			t.Errorf("reserved %v = %d, want %d", k, int(k), want)
+		}
+		if k.IsWellDefined() {
+			t.Errorf("retired %v reported well-defined", k)
+		}
+	}
+	if KindCount != 50 {
+		t.Errorf("KindCount = %d, want 50", KindCount)
+	}
+}
+
 func TestAddressString(t *testing.T) {
 	cases := []struct {
 		addr Address

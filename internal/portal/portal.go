@@ -71,10 +71,8 @@ type Config struct {
 	// startup, so queued and running submissions survive a portal crash
 	// (empty = in-memory only, the pre-durability behavior).
 	DataDir string
-	// Logf receives request diagnostics; nil disables logging.
-	Logf func(format string, args ...any)
-	// Log is the structured logger; when nil, records are bridged through
-	// Logf (or discarded when that is nil too).
+	// Log is the structured logger the portal, its job store and its API
+	// client record through; nil discards every record.
 	Log *slog.Logger
 	// TraceSample is the portal client's root-sampling probability for
 	// submitted jobs (0 = trace.DefaultSample; negative leaves portal
@@ -113,6 +111,7 @@ func New(cfg Config) (*Portal, error) {
 		ClientName:      "portal",
 		DiscoveryWindow: 100 * time.Millisecond,
 		Tracer:          tracer,
+		Log:             cfg.Log,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("portal: %w", err)
@@ -121,7 +120,7 @@ func New(cfg Config) (*Portal, error) {
 		cfg:    cfg,
 		client: client,
 		mux:    http.NewServeMux(),
-		log:    logging.Component(logging.Pick(cfg.Log, cfg.Logf), "portal", ""),
+		log:    logging.Component(cfg.Log, "portal", ""),
 		tracer: tracer,
 	}
 	if cfg.DataDir != "" {
@@ -139,7 +138,7 @@ func New(cfg Config) (*Portal, error) {
 		ResultTTL:  cfg.ResultTTL,
 		Backend:    p.backend,
 		Metrics:    cfg.Cluster.Metrics(),
-		Logf:       cfg.Logf,
+		Log:        cfg.Log,
 	})
 	if err != nil {
 		if p.backend != nil {
@@ -189,7 +188,7 @@ func (p *Portal) Close() error {
 	p.store.Close()
 	if p.backend != nil {
 		if err := p.backend.Close(); err != nil {
-			p.logf("close job WAL: %v", err)
+			p.log.Warn("close job WAL failed", "err", err)
 		}
 	}
 	return p.client.Close()
@@ -197,12 +196,6 @@ func (p *Portal) Close() error {
 
 // Store exposes the job store (for embedding deployments and tests).
 func (p *Portal) Store() *jobstore.Store { return p.store }
-
-func (p *Portal) logf(format string, args ...any) {
-	if p.cfg.Logf != nil {
-		p.cfg.Logf("[portal] "+format, args...)
-	}
-}
 
 // errorJSON writes a JSON error response.
 func errorJSON(w http.ResponseWriter, status int, err error) {
@@ -385,7 +378,7 @@ func (p *Portal) executeDoc(ctx context.Context, doc *cnx.Document, tr *runTrack
 		if err != nil {
 			return resp, fmt.Errorf("%w: %w", errUnprocessable, err)
 		}
-		p.logf("running job %q (%d tasks)", job.Name, len(specs))
+		p.log.Debug("running job", "name", job.Name, "tasks", len(specs))
 		cnJob, err := p.client.CreateJob(job.Name, protocol.JobRequirements{})
 		if err != nil {
 			return resp, err

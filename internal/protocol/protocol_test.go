@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"cn/internal/msg"
-	"cn/internal/task"
 )
 
 func roundTrip[T any](t *testing.T, kind msg.Kind, in T) T {
@@ -31,37 +30,6 @@ func TestJMOfferRoundTrip(t *testing.T) {
 	got := roundTrip(t, msg.KindJobManagerOffer, JMOffer{Node: "n3", FreeMemoryMB: 4096, ActiveJobs: 2})
 	if got.Node != "n3" || got.FreeMemoryMB != 4096 || got.ActiveJobs != 2 {
 		t.Errorf("got %+v", got)
-	}
-}
-
-func TestCreateTaskReqRoundTrip(t *testing.T) {
-	spec := &task.Spec{
-		Name:      "w1",
-		Archive:   "w.jar",
-		Class:     "c.W",
-		DependsOn: []string{"split"},
-		Params:    []task.Param{{Type: task.TypeInteger, Value: "3"}},
-		Req:       task.Requirements{MemoryMB: 256, RunModel: task.RunAsProcess},
-	}
-	in := CreateTaskReq{
-		JobID:       "j1",
-		Spec:        spec,
-		ArchiveName: "w.jar",
-		Archive:     []byte{1, 2, 3},
-		Digest:      "abc",
-	}
-	got := roundTrip(t, msg.KindCreateTask, in)
-	if got.Spec.Name != "w1" || got.Spec.Req.RunModel != task.RunAsProcess {
-		t.Errorf("spec = %+v", got.Spec)
-	}
-	if len(got.Archive) != 3 || got.Digest != "abc" {
-		t.Errorf("archive fields lost: %+v", got)
-	}
-	if got.Spec.DependsOn[0] != "split" {
-		t.Errorf("depends = %v", got.Spec.DependsOn)
-	}
-	if v, err := got.Spec.Params[0].Int(); err != nil || v != 3 {
-		t.Errorf("param = %v %v", v, err)
 	}
 }
 

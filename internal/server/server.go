@@ -14,6 +14,7 @@ import (
 
 	"cn/internal/archive"
 	"cn/internal/jobmgr"
+	"cn/internal/logging"
 	"cn/internal/metrics"
 	"cn/internal/msg"
 	"cn/internal/protocol"
@@ -60,11 +61,8 @@ type Config struct {
 	// follow HeartbeatInterval; negative disables checkpointing and
 	// JobManager failover).
 	CheckpointEvery time.Duration
-	// Logf receives diagnostics from both managers; nil disables logging.
-	Logf func(format string, args ...any)
-	// Log is the structured logger both managers attach their component
-	// and node attributes to; when nil, records are bridged through Logf
-	// (or discarded when that is nil too).
+	// Log is the structured logger the server and both managers attach
+	// their component and node attributes to; nil discards every record.
 	Log *slog.Logger
 	// TraceSample is the node tracer's root-sampling probability
 	// (0 = trace.DefaultSample; negative disables tracing on this node
@@ -87,6 +85,11 @@ type Server struct {
 	tm     *taskmgr.TaskManager
 	tracer *trace.Tracer
 	reg    *metrics.Registry
+	log    *slog.Logger
+	// ready is closed once Start has built every field handle reads; the
+	// endpoint must exist before the caller and managers can be built, so
+	// frames arriving in between wait on it.
+	ready  chan struct{}
 	closed chan struct{}
 }
 
@@ -96,7 +99,12 @@ func Start(net transport.Network, cfg Config) (*Server, error) {
 	if cfg.Node == "" {
 		return nil, fmt.Errorf("server: empty node name")
 	}
-	s := &Server{cfg: cfg, closed: make(chan struct{})}
+	s := &Server{
+		cfg:    cfg,
+		log:    logging.Component(cfg.Log, "server", cfg.Node),
+		ready:  make(chan struct{}),
+		closed: make(chan struct{}),
+	}
 	ep, err := net.Attach(cfg.Node, s.handle)
 	if err != nil {
 		return nil, fmt.Errorf("server %s: %w", cfg.Node, err)
@@ -120,7 +128,6 @@ func Start(net transport.Network, cfg Config) (*Server, error) {
 		Fetch:          s.fetchBlobs,
 		Call:           s.caller.Call,
 		HeartbeatEvery: cfg.HeartbeatInterval,
-		Logf:           cfg.Logf,
 		Log:            cfg.Log,
 		Tracer:         s.tracer,
 	}, send)
@@ -137,19 +144,22 @@ func Start(net transport.Network, cfg Config) (*Server, error) {
 		MaxTaskRetries:    cfg.MaxTaskRetries,
 		StragglerAfter:    cfg.StragglerAfter,
 		CheckpointEvery:   cfg.CheckpointEvery,
-		Logf:              cfg.Logf,
 		Log:               cfg.Log,
 		Tracer:            s.tracer,
 	}, send, s.caller, s.tm.FreeMemoryMB)
 
-	if err := ep.Join(protocol.GroupJobManagers); err != nil {
-		ep.Close()
-		return nil, fmt.Errorf("server %s: %w", cfg.Node, err)
+	for _, group := range []string{protocol.GroupJobManagers, protocol.GroupTaskManagers} {
+		if err := ep.Join(group); err != nil {
+			// Release handlers parked on ready before the endpoint's close
+			// waits for them.
+			close(s.closed)
+			ep.Close()
+			s.jm.Close()
+			s.tm.Close()
+			return nil, fmt.Errorf("server %s: %w", cfg.Node, err)
+		}
 	}
-	if err := ep.Join(protocol.GroupTaskManagers); err != nil {
-		ep.Close()
-		return nil, fmt.Errorf("server %s: %w", cfg.Node, err)
-	}
+	close(s.ready)
 	return s, nil
 }
 
@@ -274,11 +284,17 @@ func (s *Server) handleStatsPull(m *msg.Message) *msg.Message {
 	return m.Reply(msg.KindStatsReport, msg.MustEncode(resp))
 }
 
-// handle is the endpoint dispatch entry point. Replies to this server's own
-// outstanding calls are consumed inline; all other protocol handling runs on
-// a fresh goroutine because several handlers (task placement, user routing)
+// handle is the endpoint dispatch entry point. It waits until Start has
+// finished building the server. Replies to this server's own outstanding
+// calls are consumed inline; all other protocol handling runs on a fresh
+// goroutine because several handlers (task placement, user routing)
 // perform blocking calls of their own and the dispatch loop must stay live.
 func (s *Server) handle(m *msg.Message) {
+	select {
+	case <-s.ready:
+	case <-s.closed:
+		return
+	}
 	if s.caller.Handle(m) {
 		return
 	}
@@ -296,8 +312,8 @@ func (s *Server) handle(m *msg.Message) {
 		return
 	case msg.KindUser, msg.KindBroadcast:
 		if m.Header(protocol.HeaderRouted) != "" {
-			if err := s.tm.HandleUser(m); err != nil && s.cfg.Logf != nil {
-				s.cfg.Logf("[server %s] deliver user message: %v", s.cfg.Node, err)
+			if err := s.tm.HandleUser(m); err != nil {
+				s.log.Warn("user message undeliverable", "job", m.To.Job, "task", m.To.Task, "peer", m.From.Node, "err", err)
 			}
 			return
 		}
@@ -315,8 +331,6 @@ func (s *Server) dispatch(m *msg.Message) {
 		s.replyIfAny(m, s.jm.HandleSolicit(m))
 	case msg.KindCreateJob:
 		s.replyIfAny(m, s.jm.HandleCreateJob(m))
-	case msg.KindCreateTask:
-		s.replyIfAny(m, s.jm.HandleCreateTask(m))
 	case msg.KindCreateTasks:
 		s.replyIfAny(m, s.jm.HandleCreateTasks(m))
 	case msg.KindFetchBlob:
@@ -336,9 +350,7 @@ func (s *Server) dispatch(m *msg.Message) {
 			// node died): a destructively taken tuple must go back into the
 			// space or it is lost to the live workers.
 			s.jm.ReturnTSTuple(m, r)
-			if s.cfg.Logf != nil {
-				s.cfg.Logf("[server %s] ts reply to %s: %v", s.cfg.Node, m.From.Node, err)
-			}
+			s.log.Warn("tuple-space reply undeliverable", "job", m.To.Job, "peer", m.From.Node, "err", err)
 		}
 	case msg.KindTSCancel:
 		s.jm.HandleTSCancel(m)
@@ -367,8 +379,6 @@ func (s *Server) dispatch(m *msg.Message) {
 		s.replyIfAny(m, s.tm.HandleSolicit(m))
 	case msg.KindDataFetch:
 		s.replyIfAny(m, s.tm.HandleDataFetch(m))
-	case msg.KindUploadJar:
-		s.replyIfAny(m, s.tm.HandleAssign(m))
 	case msg.KindAssignTasks:
 		s.replyIfAny(m, s.tm.HandleAssignBatch(m))
 	case msg.KindExecTask:
@@ -391,8 +401,8 @@ func (s *Server) dispatch(m *msg.Message) {
 			fm := protocol.Body(msg.KindTaskFailed,
 				msg.Address{Node: s.cfg.Node, Job: req.JobID, Task: req.Task},
 				m.From, ev)
-			if serr := s.ep.Send(m.From.Node, fm); serr != nil && s.cfg.Logf != nil {
-				s.cfg.Logf("[server %s] report exec failure: %v", s.cfg.Node, serr)
+			if serr := s.ep.Send(m.From.Node, fm); serr != nil {
+				s.log.Warn("exec failure report undeliverable", "job", req.JobID, "task", req.Task, "peer", m.From.Node, "err", serr)
 			}
 		}
 
@@ -420,8 +430,8 @@ func (s *Server) replyIfAny(m *msg.Message, r *msg.Message) {
 	if r == nil {
 		return
 	}
-	if err := s.ep.Send(m.From.Node, r); err != nil && s.cfg.Logf != nil {
-		s.cfg.Logf("[server %s] reply to %s: %v", s.cfg.Node, m.From.Node, err)
+	if err := s.ep.Send(m.From.Node, r); err != nil {
+		s.log.Warn("reply undeliverable", "kind", r.Kind, "peer", m.From.Node, "err", err)
 	}
 }
 

@@ -95,18 +95,18 @@ func TestRawProtocolJobLifecycle(t *testing.T) {
 
 	spec := &task.Spec{Name: "t", Class: "srv.Noop",
 		Req: task.Requirements{MemoryMB: 10, RunModel: task.RunAsThreadInTM}}
-	reply = call(t, caller, msg.KindCreateTask, protocol.CreateTaskReq{
-		JobID: created.JobID, Spec: spec,
+	reply = call(t, caller, msg.KindCreateTasks, protocol.CreateTasksReq{
+		JobID: created.JobID, Tasks: []protocol.TaskCreate{{Spec: spec}},
 	})
-	if reply.Kind != msg.KindTaskAccepted {
-		t.Fatalf("create task reply = %v", reply.Kind)
+	if reply.Kind != msg.KindTasksAccepted {
+		t.Fatalf("create tasks reply = %v", reply.Kind)
 	}
-	var placed protocol.CreateTaskResp
+	var placed protocol.CreateTasksResp
 	if err := protocol.Decode(reply, &placed); err != nil {
 		t.Fatal(err)
 	}
-	if placed.Placement != "n1" {
-		t.Errorf("placement = %q", placed.Placement)
+	if placed.Placements["t"] != "n1" {
+		t.Errorf("placement = %q", placed.Placements["t"])
 	}
 
 	reply = call(t, caller, msg.KindStartTask, protocol.StartJobReq{JobID: created.JobID})
@@ -318,7 +318,7 @@ func TestTombstoneEvictionAndActiveJobCount(t *testing.T) {
 	}
 	spec := &task.Spec{Name: "t", Class: "srv.Noop",
 		Req: task.Requirements{MemoryMB: 10, RunModel: task.RunAsThreadInTM}}
-	call(t, caller, msg.KindCreateTask, protocol.CreateTaskReq{JobID: created.JobID, Spec: spec})
+	call(t, caller, msg.KindCreateTasks, protocol.CreateTasksReq{JobID: created.JobID, Tasks: []protocol.TaskCreate{{Spec: spec}}})
 	call(t, caller, msg.KindStartTask, protocol.StartJobReq{JobID: created.JobID})
 
 	deadline := time.Now().Add(5 * time.Second)
@@ -351,7 +351,7 @@ func TestOfferCountsOnlyLiveJobs(t *testing.T) {
 	}
 	spec := &task.Spec{Name: "t", Class: "srv.Noop",
 		Req: task.Requirements{MemoryMB: 10, RunModel: task.RunAsThreadInTM}}
-	call(t, caller, msg.KindCreateTask, protocol.CreateTaskReq{JobID: created.JobID, Spec: spec})
+	call(t, caller, msg.KindCreateTasks, protocol.CreateTasksReq{JobID: created.JobID, Tasks: []protocol.TaskCreate{{Spec: spec}}})
 	call(t, caller, msg.KindStartTask, protocol.StartJobReq{JobID: created.JobID})
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) && jm.ActiveJobs() != 0 {
@@ -376,5 +376,65 @@ func TestOfferCountsOnlyLiveJobs(t *testing.T) {
 	}
 	if offer.ActiveJobs != 0 {
 		t.Errorf("offer.ActiveJobs = %d, want 0 (tombstones excluded)", offer.ActiveJobs)
+	}
+}
+
+// TestStartUnderInboundTraffic: frames that reach a node while Start is
+// still building it must wait for the finished server instead of reading
+// half-built state. A peer multicasts (and unicasts) JM solicits at the
+// node the whole time it starts; the race detector flags any handler read
+// that is not ordered after Start's writes.
+func TestStartUnderInboundTraffic(t *testing.T) {
+	net := transport.NewTCPNetwork()
+	defer net.Close()
+	offers := make(chan struct{}, 1)
+	peer, err := net.Attach("peer", func(m *msg.Message) {
+		if m.Kind == msg.KindJobManagerOffer {
+			select {
+			case offers <- struct{}{}:
+			default:
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			solicit := func() *msg.Message {
+				return protocol.Body(msg.KindJobManagerSolicit,
+					msg.Address{Node: "peer", Task: protocol.ClientTaskName},
+					msg.Address{}, protocol.JobRequirements{})
+			}
+			_ = peer.Multicast(protocol.GroupJobManagers, solicit())
+			_ = peer.Send("n1", solicit())
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+	defer func() { close(stop); <-done }()
+
+	for i := 0; i < 5; i++ {
+		srv, err := server.Start(net, server.Config{Node: "n1", Registry: testRegistry(), HeartbeatInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Drain an offer answered before this round's Start returned.
+		select {
+		case <-offers:
+		default:
+		}
+		select {
+		case <-offers:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: started node never answered a solicit", i)
+		}
+		srv.Close()
 	}
 }

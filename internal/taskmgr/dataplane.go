@@ -269,8 +269,8 @@ func (c *execContext) get(ctx context.Context, key string) ([]byte, error) {
 				}
 				return nil, fmt.Errorf("task %s: get %q: %w", c.a.spec.Name, key, dctx.Err())
 			}
-			c.tm.logf("task %s/%s: fetch %q (%.12s…) from %s failed (%v); re-resolving",
-				c.a.jobID, c.a.spec.Name, key, resp.Digest, resp.Node, err)
+			c.tm.log.Warn("data fetch failed; re-resolving", "job", c.a.jobID, "task", c.a.spec.Name,
+				"key", key, "digest", resp.Digest, "peer", resp.Node, "err", err)
 			staleNode, staleDigest = resp.Node, resp.Digest
 			continue
 		}

@@ -61,10 +61,8 @@ type Config struct {
 	// holding assignments here (0 = health.DefaultInterval; negative
 	// disables heartbeating, the pre-failure-detection behavior).
 	HeartbeatEvery time.Duration
-	// Logf receives diagnostic lines; nil disables logging.
-	Logf func(format string, args ...any)
-	// Log is the structured logger; when nil, records are bridged through
-	// Logf (or discarded when that is nil too).
+	// Log is the structured logger; nil discards every record. User task
+	// job-log lines (task.Context.Logf) go through it at Info.
 	Log *slog.Logger
 	// Tracer records this TaskManager's spans (task exec, shuffle pulls)
 	// into its local store; terminal task events drain them to the
@@ -177,7 +175,7 @@ func New(cfg Config, send SendFunc) *TaskManager {
 	tm := &TaskManager{
 		cfg:         cfg,
 		send:        send,
-		log:         logging.Component(logging.Pick(cfg.Log, cfg.Logf), "taskmgr", cfg.Node),
+		log:         logging.Component(cfg.Log, "taskmgr", cfg.Node),
 		tracer:      cfg.Tracer,
 		registry:    reg,
 		blobs:       archive.NewCache(),
@@ -258,7 +256,7 @@ func (tm *TaskManager) beatOnce() {
 			msg.Address{Node: jm},
 			protocol.Heartbeat{Node: tm.cfg.Node, Seq: seq, Beats: payload})
 		if err := tm.send(jm, hb); err != nil {
-			tm.logf("heartbeat to %s: %v", jm, err)
+			tm.log.Warn("heartbeat failed", "peer", jm, "err", err)
 		}
 	}
 	// Re-establish the invariant for the next round: lastJMs and the
@@ -280,23 +278,17 @@ func (tm *TaskManager) beatOnce() {
 func (tm *TaskManager) HandleHeartbeatAck(m *msg.Message) {
 	var ack protocol.HeartbeatAck
 	if err := protocol.Decode(m, &ack); err != nil {
-		tm.logf("bad heartbeat ack: %v", err)
+		tm.log.Warn("bad heartbeat ack", "peer", m.From.Node, "err", err)
 		return
 	}
 	for _, jobID := range ack.UnknownJobs {
-		tm.logf("job %s unknown to %s; releasing its assignments", jobID, ack.Node)
+		tm.log.Debug("job unknown to its manager; releasing its assignments", "job", jobID, "peer", ack.Node)
 		tm.HandleCancel(jobID)
 	}
 }
 
 // BlobCache exposes the node's digest-keyed archive cache (metrics, tests).
 func (tm *TaskManager) BlobCache() *archive.Cache { return tm.blobs }
-
-func (tm *TaskManager) logf(format string, args ...any) {
-	if tm.cfg.Logf != nil {
-		tm.cfg.Logf("[tm %s] "+format, append([]any{tm.cfg.Node}, args...)...)
-	}
-}
 
 func key(jobID, taskName string) string { return jobID + "/" + taskName }
 
@@ -321,7 +313,7 @@ func (tm *TaskManager) RunningTasks() int {
 func (tm *TaskManager) HandleSolicit(m *msg.Message) *msg.Message {
 	var req protocol.TaskSolicitReq
 	if err := protocol.Decode(m, &req); err != nil {
-		tm.logf("bad solicit: %v", err)
+		tm.log.Warn("bad solicit", "peer", m.From.Node, "err", err)
 		return nil
 	}
 	tm.mu.Lock()
@@ -363,46 +355,6 @@ func (tm *TaskManager) stalledLocked(now time.Time) int {
 	return stalled
 }
 
-// HandleAssign processes a KindUploadJar — the per-task assignment path
-// kept for protocol compatibility: verify the inline archive (or resolve a
-// digest-only reference against the blob cache), check the class is
-// loadable, reserve memory, and set up the task's message queue.
-func (tm *TaskManager) HandleAssign(m *msg.Message) *msg.Message {
-	var req protocol.AssignTaskReq
-	if err := protocol.Decode(m, &req); err != nil {
-		return m.Reply(msg.KindJarUploaded, msg.MustEncode(protocol.AssignTaskResp{OK: false, Reason: err.Error()}))
-	}
-	reject := func(reason string) *msg.Message {
-		tm.logf("reject %s: %s", key(req.JobID, req.Spec.Name), reason)
-		return m.Reply(msg.KindJarUploaded, msg.MustEncode(protocol.AssignTaskResp{OK: false, Reason: reason}))
-	}
-	ref := protocol.ArchiveRef{Name: req.ArchiveName, Digest: req.Digest}
-	if len(req.Archive) > 0 {
-		a, err := archive.Open(req.ArchiveName, req.Archive)
-		if err != nil {
-			return reject(fmt.Sprintf("bad archive: %v", err))
-		}
-		if req.Digest != "" && a.Digest() != req.Digest {
-			return reject("archive digest mismatch")
-		}
-		ref.Digest = a.Digest()
-		if err := tm.blobs.Put(a); err != nil {
-			return reject(err.Error())
-		}
-	} else if req.ArchiveName != "" && req.Digest == "" {
-		// A name with neither bytes nor digest cannot be resolved.
-		ref = protocol.ArchiveRef{}
-	}
-	item := protocol.TaskCreate{Spec: req.Spec, Archive: ref}
-	if _, err := tm.ensureBlobs(req.JobManager, req.JobID, []protocol.TaskCreate{item}); err != nil {
-		return reject(err.Error())
-	}
-	if reason := tm.assignOne(req.JobID, req.JobManager, req.ClientNode, item); reason != "" {
-		return reject(reason)
-	}
-	return m.Reply(msg.KindJarUploaded, msg.MustEncode(protocol.AssignTaskResp{OK: true}))
-}
-
 // HandleAssignBatch processes a KindAssignTasks: a batch assignment whose
 // items carry content-addressed archive references only. Missing blobs are
 // fetched from the JobManager once per digest; every item is then verified
@@ -433,7 +385,7 @@ func (tm *TaskManager) HandleAssignBatch(m *msg.Message) *msg.Message {
 		}
 		if reason := tm.assignOne(req.JobID, req.JobManager, req.ClientNode, it); reason != "" {
 			resp.Rejected[it.Spec.Name] = reason
-			tm.logf("reject %s: %s", key(req.JobID, it.Spec.Name), reason)
+			tm.log.Debug("assignment rejected", "job", req.JobID, "task", it.Spec.Name, "reason", reason)
 		}
 	}
 	return m.Reply(msg.KindTasksAssigned, msg.MustEncode(resp))
@@ -556,7 +508,7 @@ func (tm *TaskManager) ReleaseIfUnstarted(jobID, taskName string) bool {
 	delete(tm.assigned, k)
 	tm.mu.Unlock()
 	a.cancel()
-	tm.logf("released unstarted %s (%d MB)", k, a.spec.Req.MemoryMB)
+	tm.log.Debug("released unstarted task", "job", jobID, "task", taskName, "mem_mb", a.spec.Req.MemoryMB)
 	return true
 }
 
@@ -658,7 +610,7 @@ func (tm *TaskManager) event(kind msg.Kind, a *assignment, errText string) {
 		ev)
 	m.Trace = a.trace
 	if err := tm.send(jmNode, m); err != nil {
-		tm.logf("event %s for %s: %v", kind, key(a.jobID, a.spec.Name), err)
+		tm.log.Warn("task event undeliverable", "job", a.jobID, "task", a.spec.Name, "kind", kind, "peer", jmNode, "err", err)
 	}
 }
 
@@ -671,7 +623,7 @@ func (tm *TaskManager) event(kind msg.Kind, a *assignment, errText string) {
 func (tm *TaskManager) HandleAdopt(m *msg.Message) *msg.Message {
 	var req protocol.JMAdoptReq
 	if err := protocol.Decode(m, &req); err != nil {
-		tm.logf("bad adopt: %v", err)
+		tm.log.Warn("bad adopt", "peer", m.From.Node, "err", err)
 		return m.Reply(msg.KindJMAdopt, msg.MustEncode(protocol.JMAdoptResp{Node: tm.cfg.Node}))
 	}
 	resp := protocol.JMAdoptResp{Node: tm.cfg.Node}
@@ -715,7 +667,7 @@ func (tm *TaskManager) HandleUser(m *msg.Message) error {
 	case errors.Is(err, msg.ErrFull):
 		go func() {
 			if err := a.mailbox.Put(m); err != nil {
-				tm.logf("deliver to %s: %v", p.ToTask, err)
+				tm.log.Warn("user message undeliverable", "job", p.JobID, "task", p.ToTask, "err", err)
 			}
 		}()
 		return nil
@@ -926,9 +878,9 @@ func (c *execContext) RdP(tpl tuplespace.Template) (tuplespace.Tuple, error) {
 	return protocol.TSProbe(c.tsDo, msg.KindTSRdP, tpl)
 }
 
-// Logf implements task.Context.
+// Logf implements task.Context: one Info record in the TaskManager's log.
 func (c *execContext) Logf(format string, args ...any) {
-	c.tm.logf("task %s: "+format, append([]any{key(c.a.jobID, c.a.spec.Name)}, args...)...)
+	c.tm.log.Info(fmt.Sprintf(format, args...), "job", c.a.jobID, "task", c.a.spec.Name)
 }
 
 // Done implements task.Context.

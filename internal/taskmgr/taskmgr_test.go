@@ -59,17 +59,28 @@ func solicitMsg(spec *task.Spec) *msg.Message {
 		protocol.TaskSolicitReq{JobID: "j1", Spec: spec})
 }
 
-func assignMsg(spec *task.Spec, ar *archive.Archive) *msg.Message {
-	req := protocol.AssignTaskReq{
-		JobID: "j1", JobManager: "jm", ClientNode: "client", Spec: spec,
+// assign sends spec as a one-item ASSIGN_TASKS batch for job j1, its
+// archive referenced by ref, and returns the item's rejection reason ("" =
+// assigned).
+func assign(t *testing.T, tm *TaskManager, spec *task.Spec, ref protocol.ArchiveRef) string {
+	t.Helper()
+	r := tm.HandleAssignBatch(batchMsg(protocol.AssignTasksReq{
+		JobID: "j1", JobManager: "jm", ClientNode: "client",
+		Items: []protocol.TaskCreate{{Spec: spec, Archive: ref}},
+	}))
+	var resp protocol.AssignTasksResp
+	if err := protocol.Decode(r, &resp); err != nil {
+		t.Fatal(err)
 	}
-	if ar != nil {
-		req.ArchiveName = ar.Name
-		req.Archive = ar.Bytes()
-		req.Digest = ar.Digest()
+	return resp.Rejected[spec.Name]
+}
+
+// mustAssign is assign for a task that must land.
+func mustAssign(t *testing.T, tm *TaskManager, spec *task.Spec) {
+	t.Helper()
+	if reason := assign(t, tm, spec, protocol.ArchiveRef{}); reason != "" {
+		t.Fatalf("assign %s rejected: %s", spec.Name, reason)
 	}
-	return protocol.Body(msg.KindUploadJar,
-		msg.Address{Node: "jm", Job: "j1"}, msg.Address{Node: "tm1"}, req)
 }
 
 func spec(name string, memMB int) *task.Spec {
@@ -101,15 +112,7 @@ func TestAssignReservesAndReleasesMemory(t *testing.T) {
 	s := &sink{}
 	tm := New(Config{Node: "tm1", MemoryMB: 1000, Registry: registry(t)}, s.send)
 	defer tm.Close()
-	sp := spec("t1", 400)
-	r := tm.HandleAssign(assignMsg(sp, nil))
-	var resp protocol.AssignTaskResp
-	if err := protocol.Decode(r, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.OK {
-		t.Fatalf("assign rejected: %s", resp.Reason)
-	}
+	mustAssign(t, tm, spec("t1", 400))
 	if tm.FreeMemoryMB() != 600 {
 		t.Errorf("free = %d after reservation", tm.FreeMemoryMB())
 	}
@@ -127,53 +130,43 @@ func TestAssignReservesAndReleasesMemory(t *testing.T) {
 }
 
 func TestAssignRejections(t *testing.T) {
-	s := &sink{}
-	tm := New(Config{Node: "tm1", MemoryMB: 500, Registry: registry(t)}, s.send)
-	defer tm.Close()
-
-	check := func(m *msg.Message, wantReason string) {
-		t.Helper()
-		var resp protocol.AssignTaskResp
-		if err := protocol.Decode(tm.HandleAssign(m), &resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.OK {
-			t.Fatalf("assign accepted, wanted rejection %q", wantReason)
-		}
-		if !strings.Contains(resp.Reason, wantReason) {
-			t.Errorf("reason = %q, want %q", resp.Reason, wantReason)
-		}
-	}
-
-	check(assignMsg(spec("big", 900), nil), "insufficient memory")
-	check(assignMsg(&task.Spec{Name: "x", Class: "tm.Unknown",
-		Req: task.Requirements{MemoryMB: 10}}, nil), "not deployable")
-
-	// Duplicate assignment.
-	if err := protocol.Decode(tm.HandleAssign(assignMsg(spec("dup", 10), nil)), new(protocol.AssignTaskResp)); err != nil {
-		t.Fatal(err)
-	}
-	check(assignMsg(spec("dup", 10), nil), "already assigned")
-
-	// Archive whose manifest class does not match the spec.
+	// Archive whose manifest class does not match the spec, and an archive
+	// the fetch path serves under a digest its bytes do not hash to.
 	bad, err := archive.NewBuilder("bad.jar", "tm.SomethingElse").Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	check(assignMsg(spec("pkg", 10), bad), "does not match")
-
-	// Digest mismatch.
 	good, err := archive.NewBuilder("good.jar", "tm.Noop").Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := assignMsg(spec("dig", 10), good)
-	var req protocol.AssignTaskReq
-	if err := protocol.Decode(m, &req); err != nil {
-		t.Fatal(err)
+	fetch := &countingFetch{blobs: map[string][]byte{bad.Digest(): bad.Bytes(), "wrong": good.Bytes()}}
+	s := &sink{}
+	tm := New(Config{Node: "tm1", MemoryMB: 500, Registry: registry(t), Fetch: fetch.fetch}, s.send)
+	defer tm.Close()
+
+	check := func(sp *task.Spec, ref protocol.ArchiveRef, wantReason string) {
+		t.Helper()
+		reason := assign(t, tm, sp, ref)
+		if reason == "" {
+			t.Fatalf("assign accepted, wanted rejection %q", wantReason)
+		}
+		if !strings.Contains(reason, wantReason) {
+			t.Errorf("reason = %q, want %q", reason, wantReason)
+		}
 	}
-	req.Digest = "wrong"
-	check(protocol.Body(msg.KindUploadJar, m.From, m.To, req), "digest mismatch")
+
+	none := protocol.ArchiveRef{}
+	check(spec("big", 900), none, "insufficient memory")
+	check(&task.Spec{Name: "x", Class: "tm.Unknown",
+		Req: task.Requirements{MemoryMB: 10}}, none, "not deployable")
+
+	// Duplicate assignment.
+	mustAssign(t, tm, spec("dup", 10))
+	check(spec("dup", 10), none, "already assigned")
+
+	check(spec("pkg", 10), protocol.ArchiveRef{Name: bad.Name, Digest: bad.Digest()}, "does not match")
+	check(spec("dig", 10), protocol.ArchiveRef{Name: good.Name, Digest: "wrong"}, "digest mismatch")
 }
 
 func TestStartErrors(t *testing.T) {
@@ -183,9 +176,7 @@ func TestStartErrors(t *testing.T) {
 	if err := tm.HandleStart("j1", "ghost", trace.Context{}); err == nil {
 		t.Error("starting unassigned task accepted")
 	}
-	if err := protocol.Decode(tm.HandleAssign(assignMsg(spec("t", 10), nil)), new(protocol.AssignTaskResp)); err != nil {
-		t.Fatal(err)
-	}
+	mustAssign(t, tm, spec("t", 10))
 	if err := tm.HandleStart("j1", "t", trace.Context{}); err != nil {
 		t.Fatal(err)
 	}
@@ -199,9 +190,7 @@ func TestCancelReleasesUnstarted(t *testing.T) {
 	s := &sink{}
 	tm := New(Config{Node: "tm1", MemoryMB: 1000, Registry: registry(t)}, s.send)
 	defer tm.Close()
-	if err := protocol.Decode(tm.HandleAssign(assignMsg(spec("idle", 300), nil)), new(protocol.AssignTaskResp)); err != nil {
-		t.Fatal(err)
-	}
+	mustAssign(t, tm, spec("idle", 300))
 	if tm.FreeMemoryMB() != 700 {
 		t.Fatalf("free = %d", tm.FreeMemoryMB())
 	}
@@ -303,8 +292,8 @@ func TestCacheHitAssignmentWithRefOnlyExecutes(t *testing.T) {
 	tm := New(Config{Node: "tm1", MemoryMB: 1000, Registry: registry(t)}, s.send) // no Fetch configured
 	defer tm.Close()
 
-	// Seed the cache through the legacy inline-upload path.
-	if err := protocol.Decode(tm.HandleAssign(assignMsg(spec("seed", 10), ar)), new(protocol.AssignTaskResp)); err != nil {
+	// Seed the cache directly, as an earlier upload would have.
+	if err := tm.BlobCache().Put(ar); err != nil {
 		t.Fatal(err)
 	}
 
@@ -419,9 +408,7 @@ func TestHeartbeatCarriesTaskBeats(t *testing.T) {
 		HeartbeatEvery: 5 * time.Millisecond,
 	}, s.send)
 	defer tm.Close()
-	if r := tm.HandleAssign(assignMsg(spec("t1", 100), nil)); r == nil {
-		t.Fatal("assign not answered")
-	}
+	mustAssign(t, tm, spec("t1", 100))
 	m := s.waitKind(t, msg.KindHeartbeat)
 	var hb protocol.Heartbeat
 	if err := protocol.Decode(m, &hb); err != nil {
@@ -468,9 +455,7 @@ func TestGoodbyeBeatAfterLastAssignment(t *testing.T) {
 		HeartbeatEvery: 5 * time.Millisecond,
 	}, s.send)
 	defer tm.Close()
-	if r := tm.HandleAssign(assignMsg(spec("t1", 100), nil)); r == nil {
-		t.Fatal("assign not answered")
-	}
+	mustAssign(t, tm, spec("t1", 100))
 	s.waitKind(t, msg.KindHeartbeat)
 	tm.HandleCancel("j1") // releases the only assignment
 	// An empty (goodbye) heartbeat must follow.
@@ -500,9 +485,7 @@ func TestHeartbeatAckUnknownJobReleasesAssignments(t *testing.T) {
 	s := &sink{}
 	tm := New(Config{Node: "tm1", MemoryMB: 1000, Registry: registry(t), HeartbeatEvery: -1}, s.send)
 	defer tm.Close()
-	if r := tm.HandleAssign(assignMsg(spec("t1", 400), nil)); r == nil {
-		t.Fatal("assign not answered")
-	}
+	mustAssign(t, tm, spec("t1", 400))
 	if tm.FreeMemoryMB() != 600 {
 		t.Fatalf("free = %d after reservation", tm.FreeMemoryMB())
 	}
@@ -519,9 +502,7 @@ func TestReleaseIfUnstarted(t *testing.T) {
 	s := &sink{}
 	tm := New(Config{Node: "tm1", MemoryMB: 1000, Registry: registry(t), HeartbeatEvery: -1}, s.send)
 	defer tm.Close()
-	if r := tm.HandleAssign(assignMsg(spec("t1", 400), nil)); r == nil {
-		t.Fatal("assign not answered")
-	}
+	mustAssign(t, tm, spec("t1", 400))
 	if !tm.ReleaseIfUnstarted("j1", "t1") {
 		t.Fatal("release of an unstarted assignment refused")
 	}
@@ -532,9 +513,7 @@ func TestReleaseIfUnstarted(t *testing.T) {
 	if tm.ReleaseIfUnstarted("j1", "t1") {
 		t.Error("double release succeeded")
 	}
-	if r := tm.HandleAssign(assignMsg(spec("t2", 400), nil)); r == nil {
-		t.Fatal("assign not answered")
-	}
+	mustAssign(t, tm, spec("t2", 400))
 	if err := tm.HandleStart("j1", "t2", trace.Context{}); err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@
 //     at capacity the frame is dropped and counted (periodic senders
 //     re-send; a heartbeat delayed behind a megabyte of chunks is worse
 //     than one skipped beat).
-//   - bulk: archive uploads, blob chunks, direct data-plane fetch
+//   - bulk: archive blobs and chunks, direct data-plane fetch
 //     replies, user payloads. Bulk enqueue blocks until there is room
 //     (real backpressure), bounded by pipeEnqueueWait, after which the
 //     send fails with ErrBackpressure.
@@ -86,7 +86,7 @@ const (
 // lease renewals into false suspect/dead transitions.
 func laneOf(k msg.Kind) lane {
 	switch k {
-	case msg.KindUploadJar, msg.KindBlobData, msg.KindBlobChunk, msg.KindBlobChunkAck,
+	case msg.KindBlobData, msg.KindBlobChunk, msg.KindBlobChunkAck,
 		msg.KindDataFetch, msg.KindUser, msg.KindBroadcast:
 		return laneBulk
 	}

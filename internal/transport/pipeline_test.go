@@ -22,7 +22,7 @@ func TestLaneClassification(t *testing.T) {
 		}
 	}
 	for _, k := range []msg.Kind{msg.KindBlobChunk, msg.KindBlobChunkAck, msg.KindBlobData,
-		msg.KindUploadJar, msg.KindDataFetch, msg.KindUser, msg.KindBroadcast} {
+		msg.KindDataFetch, msg.KindUser, msg.KindBroadcast} {
 		if laneOf(k) != laneBulk {
 			t.Errorf("%v classified control, want bulk", k)
 		}
@@ -303,33 +303,6 @@ func TestMemBackpressureSemantics(t *testing.T) {
 	if n.Stats().ControlDrops.Load() == 0 {
 		t.Error("control lane never dropped despite exceeding its cap")
 	}
-}
-
-// TestTCPSerializedBaselineStillWorks: the pre-pipeline path kept for
-// cnbench's baseline must still deliver unicast and multicast.
-func TestTCPSerializedBaselineStillWorks(t *testing.T) {
-	n := NewTCPNetwork()
-	n.SetPipelining(false)
-	defer n.Close()
-	recv := newCollector()
-	a, err := n.Attach("a", func(*msg.Message) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := n.Attach("b", recv.handle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Join("g"); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Send("b", msg.New(msg.KindPing, msg.Address{Node: "a"}, msg.Address{Node: "b"}, nil)); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Multicast("g", msg.New(msg.KindPing, msg.Address{Node: "a"}, msg.Address{}, nil)); err != nil {
-		t.Fatal(err)
-	}
-	recv.wait(t, 2, 2*time.Second)
 }
 
 // TestHeartbeatsSurviveBulkStorm: lease renewals on the control lane must

@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"cn/internal/logging"
 	"cn/internal/msg"
 	"cn/internal/wire"
 )
@@ -20,11 +22,6 @@ import (
 var (
 	// tcpDialTimeout bounds one connection attempt to a peer.
 	tcpDialTimeout = 2 * time.Second
-	// tcpMulticastWait bounds how long the legacy (non-pipelined)
-	// Multicast waits for its concurrent per-member sends; stragglers (a
-	// peer mid-dial) finish in the background. Delivery stays best-effort
-	// either way.
-	tcpMulticastWait = 2 * time.Second
 	// tcpWriteTimeout bounds one coalesced frame flush. A peer that is
 	// alive but not reading (wedged process, full socket buffer) errors
 	// the connection — failing queued frames with ErrSlowConsumer —
@@ -52,10 +49,7 @@ var (
 type TCPNetwork struct {
 	groups *groupSet
 	stats  Stats
-	logf   func(format string, args ...any)
-	// serialized restores the pre-pipeline send path (mutex across the
-	// write syscall, dial inline in Send): the benchmark baseline.
-	serialized atomic.Bool
+	log    *slog.Logger
 	// sendBuf, when positive, bounds SO_SNDBUF on outbound connections.
 	sendBuf atomic.Int32
 
@@ -69,20 +63,21 @@ type TCPNetwork struct {
 func NewTCPNetwork() *TCPNetwork {
 	return &TCPNetwork{
 		groups: newGroupSet(),
+		log:    logging.Discard(),
 		nodes:  make(map[string]*tcpEndpoint),
 		addrs:  make(map[string]string),
 	}
 }
 
-// SetLogf installs a diagnostic sink for transport errors (dropped
-// connections, malformed frames); nil disables logging.
-func (n *TCPNetwork) SetLogf(f func(format string, args ...any)) { n.logf = f }
-
-// SetPipelining toggles the per-connection async writer (on by default).
-// Disabling it restores the serialized lock-across-syscall send path; the
-// knob exists so cnbench can measure the pipeline against its own
-// baseline and must be set before traffic flows.
-func (n *TCPNetwork) SetPipelining(enabled bool) { n.serialized.Store(!enabled) }
+// SetLog installs the structured logger transport errors (dropped
+// connections, malformed frames) are recorded through at Warn; nil
+// discards them. Call it before traffic flows.
+func (n *TCPNetwork) SetLog(log *slog.Logger) {
+	if log == nil {
+		log = logging.Discard()
+	}
+	n.log = log.With("component", "transport")
+}
 
 // SetSendBuffer bounds the kernel send buffer (SO_SNDBUF) of outbound
 // connections dialed after the call; 0 keeps the OS default. Lane priority
@@ -99,12 +94,6 @@ func (n *TCPNetwork) tuneConn(c net.Conn) {
 		if tc, ok := c.(*net.TCPConn); ok {
 			_ = tc.SetWriteBuffer(int(b))
 		}
-	}
-}
-
-func (n *TCPNetwork) logErr(format string, args ...any) {
-	if n.logf != nil {
-		n.logf("[transport] "+format, args...)
 	}
 }
 
@@ -199,10 +188,6 @@ type tcpConn struct {
 
 	closed atomic.Bool
 	cval   atomic.Value // net.Conn, set once after a successful dial
-
-	// wmu serializes the legacy (serialized-mode) dial + frame writes;
-	// unused when pipelining is on.
-	wmu sync.Mutex
 }
 
 // close marks the record dead, fails every queued frame with err, and
@@ -285,8 +270,8 @@ func (e *tcpEndpoint) readLoop(c net.Conn) {
 		frameLen := binary.BigEndian.Uint32(hdr[:])
 		if err := wire.CheckFrameLen(frameLen); err != nil {
 			e.net.stats.FrameErrors.Add(1)
-			e.net.logErr("%s: inbound frame from %s rejected: %v; dropping connection",
-				e.node, c.RemoteAddr(), err)
+			e.net.log.Warn("inbound frame rejected; dropping connection",
+				"node", e.node, "peer", c.RemoteAddr(), "err", err)
 			return
 		}
 		body := make([]byte, frameLen)
@@ -297,8 +282,8 @@ func (e *tcpEndpoint) readLoop(c net.Conn) {
 		m, err := wire.DecodeFrameBody(body)
 		if err != nil {
 			e.net.stats.FrameErrors.Add(1)
-			e.net.logErr("%s: undecodable frame from %s: %v; dropping connection",
-				e.node, c.RemoteAddr(), err)
+			e.net.log.Warn("undecodable frame; dropping connection",
+				"node", e.node, "peer", c.RemoteAddr(), "err", err)
 			return
 		}
 		select {
@@ -340,14 +325,11 @@ func (e *tcpEndpoint) conn(node string) (*tcpConn, error) {
 	}
 	tc = &tcpConn{addr: addr, node: node, pipe: newOutPipe(&e.net.stats)}
 	e.conns[node] = tc
-	if !e.net.serialized.Load() {
-		// The writer is deliberately NOT in e.wg: a writer parked in a
-		// dial may outlive Close by up to tcpDialTimeout (it only touches
-		// the already-failed pipe and the connection table), and shutdown
-		// must not wait on it — the same detachment the legacy multicast
-		// dial goroutines had.
-		go e.writeLoop(tc)
-	}
+	// The writer is deliberately NOT in e.wg: a writer parked in a dial
+	// may outlive Close by up to tcpDialTimeout (it only touches the
+	// already-failed pipe and the connection table), and shutdown must
+	// not wait on it.
+	go e.writeLoop(tc)
 	return tc, nil
 }
 
@@ -370,7 +352,8 @@ func (e *tcpEndpoint) writeLoop(tc *tcpConn) {
 	c, err := tcpDial("tcp", tc.addr, tcpDialTimeout)
 	if err != nil {
 		dialErr := fmt.Errorf("transport: dial %s (%s): %w", tc.node, tc.addr, err)
-		e.net.logErr("%s: %v; failing queued frames", e.node, dialErr)
+		e.net.log.Warn("dial failed; failing queued frames",
+			"node", e.node, "peer", tc.node, "err", dialErr)
 		e.forget(tc.node, tc)
 		tc.close(dialErr)
 		return
@@ -403,8 +386,8 @@ func (e *tcpEndpoint) writeLoop(tc *tcpConn) {
 				werr = fmt.Errorf("%w: %v", ErrSlowConsumer, werr)
 			}
 			e.net.stats.Dropped.Add(int64(len(batch)))
-			e.net.logErr("%s: write to %s failed: %v; dropping connection and %d queued frames",
-				e.node, tc.node, werr, len(batch))
+			e.net.log.Warn("write failed; dropping connection and queued frames",
+				"node", e.node, "peer", tc.node, "frames", len(batch), "err", werr)
 			e.forget(tc.node, tc)
 			tc.close(fmt.Errorf("transport: send to %s: %w", tc.node, werr))
 			return
@@ -429,11 +412,6 @@ func (e *tcpEndpoint) Send(toNode string, m *msg.Message) error {
 		wire.PutBuf(buf)
 		return fmt.Errorf("transport: send to %s: %w", toNode, err)
 	}
-	if e.net.serialized.Load() {
-		err = e.writeFrameSync(toNode, m.Kind, *buf)
-		wire.PutBuf(buf)
-		return err
-	}
 	tc, err := e.conn(toNode)
 	if err != nil {
 		wire.PutBuf(buf)
@@ -445,52 +423,6 @@ func (e *tcpEndpoint) Send(toNode string, m *msg.Message) error {
 		ref:  newFrameRef(buf, 1),
 		size: len(*buf),
 	})
-}
-
-// writeFrameSync is the legacy serialized send path (dial inline, mutex
-// across the write syscall, one syscall per frame), kept as the benchmark
-// baseline behind SetPipelining(false).
-func (e *tcpEndpoint) writeFrameSync(toNode string, kind msg.Kind, frame []byte) error {
-	tc, err := e.conn(toNode)
-	if err != nil {
-		return err
-	}
-	tc.wmu.Lock()
-	if tc.closed.Load() {
-		tc.wmu.Unlock()
-		e.forget(toNode, tc)
-		return fmt.Errorf("transport: send to %s: connection closed", toNode)
-	}
-	c, _ := tc.cval.Load().(net.Conn)
-	if c == nil {
-		dialed, err := tcpDial("tcp", tc.addr, tcpDialTimeout)
-		if err != nil {
-			tc.closed.Store(true)
-			tc.wmu.Unlock()
-			e.forget(toNode, tc)
-			return fmt.Errorf("transport: dial %s (%s): %w", toNode, tc.addr, err)
-		}
-		e.net.tuneConn(dialed)
-		tc.cval.Store(dialed)
-		if tc.closed.Load() {
-			dialed.Close()
-			tc.wmu.Unlock()
-			e.forget(toNode, tc)
-			return fmt.Errorf("transport: send to %s: connection closed", toNode)
-		}
-		c = dialed
-	}
-	c.SetWriteDeadline(time.Now().Add(tcpWriteTimeout))
-	_, err = c.Write(frame)
-	tc.wmu.Unlock()
-	if err != nil {
-		e.forget(toNode, tc)
-		tc.close(fmt.Errorf("transport: send to %s: %w", toNode, err))
-		return fmt.Errorf("transport: send to %s: %w", toNode, err)
-	}
-	e.net.stats.countSend(kind, len(frame))
-	e.net.stats.countFlush(1)
-	return nil
 }
 
 // Multicast implements Endpoint: unicast fan-out over group membership.
@@ -520,9 +452,6 @@ func (e *tcpEndpoint) Multicast(group string, m *msg.Message) error {
 		wire.PutBuf(buf)
 		return nil
 	}
-	if e.net.serialized.Load() {
-		return e.multicastSync(members, m.Kind, buf)
-	}
 	ref := newFrameRef(buf, int32(len(members)))
 	for _, node := range members {
 		tc, err := e.conn(node)
@@ -532,33 +461,6 @@ func (e *tcpEndpoint) Multicast(group string, m *msg.Message) error {
 		}
 		// enqueue owns (and on failure releases) this member's reference.
 		_ = tc.pipe.enqueue(outFrame{kind: m.Kind, data: *buf, ref: ref, size: len(*buf)})
-	}
-	return nil
-}
-
-// multicastSync is the legacy concurrent fan-out (per-member goroutines
-// over the serialized write path), kept as the benchmark baseline.
-func (e *tcpEndpoint) multicastSync(members []string, kind msg.Kind, buf *[]byte) error {
-	var wg sync.WaitGroup
-	for _, node := range members {
-		wg.Add(1)
-		go func(node string) {
-			defer wg.Done()
-			_ = e.writeFrameSync(node, kind, *buf) // best-effort, like the wire
-		}(node)
-	}
-	done := make(chan struct{})
-	go func() {
-		// The shared frame buffer may only be recycled once every member's
-		// write — including stragglers past the bounded wait — is finished.
-		wg.Wait()
-		wire.PutBuf(buf)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(tcpMulticastWait):
-	case <-e.stop:
 	}
 	return nil
 }

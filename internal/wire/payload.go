@@ -20,19 +20,21 @@ import (
 	"cn/internal/task"
 )
 
-// Payload type ids. Append only: a type id is part of the wire format.
+// Payload type ids. Append only: a type id is part of the wire format, and
+// a retired type leaves a reserved placeholder so later ids keep their
+// numbers.
 const (
 	tInvalid uint64 = iota
 	tJobRequirements
 	tJMOffer
 	tCreateJobReq
 	tCreateJobResp
-	tCreateTaskReq
-	tCreateTaskResp
+	_ // 5: reserved, the retired CREATE_TASK request body
+	_ // 6: reserved, the retired TASK_ACCEPTED response body
 	tTaskSolicitReq
 	tTMOffer
-	tAssignTaskReq
-	tAssignTaskResp
+	_ // 9: reserved, the retired UPLOAD_JAR request body
+	_ // 10: reserved, the retired JAR_UPLOADED response body
 	tCreateTasksReq
 	tCreateTasksResp
 	tAssignTasksReq
@@ -109,14 +111,6 @@ func (Codec) Marshal(v any) ([]byte, error) {
 		return appendCreateJobResp(header(make([]byte, 0, 64), tCreateJobResp), &x), nil
 	case *protocol.CreateJobResp:
 		return appendCreateJobResp(header(make([]byte, 0, 64), tCreateJobResp), x), nil
-	case protocol.CreateTaskReq:
-		return appendCreateTaskReq(header(make([]byte, 0, 256+len(x.Archive)), tCreateTaskReq), &x), nil
-	case *protocol.CreateTaskReq:
-		return appendCreateTaskReq(header(make([]byte, 0, 256+len(x.Archive)), tCreateTaskReq), x), nil
-	case protocol.CreateTaskResp:
-		return appendCreateTaskResp(header(make([]byte, 0, 64), tCreateTaskResp), &x), nil
-	case *protocol.CreateTaskResp:
-		return appendCreateTaskResp(header(make([]byte, 0, 64), tCreateTaskResp), x), nil
 	case protocol.TaskSolicitReq:
 		return appendTaskSolicitReq(header(make([]byte, 0, 256), tTaskSolicitReq), &x), nil
 	case *protocol.TaskSolicitReq:
@@ -125,14 +119,6 @@ func (Codec) Marshal(v any) ([]byte, error) {
 		return appendTMOffer(header(make([]byte, 0, 64), tTMOffer), &x), nil
 	case *protocol.TMOffer:
 		return appendTMOffer(header(make([]byte, 0, 64), tTMOffer), x), nil
-	case protocol.AssignTaskReq:
-		return appendAssignTaskReq(header(make([]byte, 0, 256+len(x.Archive)), tAssignTaskReq), &x), nil
-	case *protocol.AssignTaskReq:
-		return appendAssignTaskReq(header(make([]byte, 0, 256+len(x.Archive)), tAssignTaskReq), x), nil
-	case protocol.AssignTaskResp:
-		return appendAssignTaskResp(header(make([]byte, 0, 64), tAssignTaskResp), &x), nil
-	case *protocol.AssignTaskResp:
-		return appendAssignTaskResp(header(make([]byte, 0, 64), tAssignTaskResp), x), nil
 	case protocol.CreateTasksReq:
 		return appendCreateTasksReq(header(make([]byte, 0, 512), tCreateTasksReq), &x), nil
 	case *protocol.CreateTasksReq:
@@ -251,18 +237,10 @@ func (Codec) Unmarshal(data []byte, out any) error {
 		wantID, decode = tCreateJobReq, func(r *Reader) error { return readCreateJobReq(r, x) }
 	case *protocol.CreateJobResp:
 		wantID, decode = tCreateJobResp, func(r *Reader) error { return readCreateJobResp(r, x) }
-	case *protocol.CreateTaskReq:
-		wantID, decode = tCreateTaskReq, func(r *Reader) error { return readCreateTaskReq(r, x) }
-	case *protocol.CreateTaskResp:
-		wantID, decode = tCreateTaskResp, func(r *Reader) error { return readCreateTaskResp(r, x) }
 	case *protocol.TaskSolicitReq:
 		wantID, decode = tTaskSolicitReq, func(r *Reader) error { return readTaskSolicitReq(r, x) }
 	case *protocol.TMOffer:
 		wantID, decode = tTMOffer, func(r *Reader) error { return readTMOffer(r, x) }
-	case *protocol.AssignTaskReq:
-		wantID, decode = tAssignTaskReq, func(r *Reader) error { return readAssignTaskReq(r, x) }
-	case *protocol.AssignTaskResp:
-		wantID, decode = tAssignTaskResp, func(r *Reader) error { return readAssignTaskResp(r, x) }
 	case *protocol.CreateTasksReq:
 		wantID, decode = tCreateTasksReq, func(r *Reader) error { return readCreateTasksReq(r, x) }
 	case *protocol.CreateTasksResp:
@@ -640,40 +618,6 @@ func readCreateJobResp(r *Reader, v *protocol.CreateJobResp) (err error) {
 	return err
 }
 
-func appendCreateTaskReq(b []byte, v *protocol.CreateTaskReq) []byte {
-	b = AppendString(b, v.JobID)
-	b = appendSpec(b, v.Spec)
-	b = AppendString(b, v.ArchiveName)
-	b = AppendBytes(b, v.Archive)
-	return AppendString(b, v.Digest)
-}
-
-func readCreateTaskReq(r *Reader, v *protocol.CreateTaskReq) (err error) {
-	if v.JobID, err = r.String(); err != nil {
-		return err
-	}
-	if v.Spec, err = readSpec(r); err != nil {
-		return err
-	}
-	if v.ArchiveName, err = r.String(); err != nil {
-		return err
-	}
-	if v.Archive, err = r.Bytes(); err != nil {
-		return err
-	}
-	v.Digest, err = r.String()
-	return err
-}
-
-func appendCreateTaskResp(b []byte, v *protocol.CreateTaskResp) []byte {
-	return AppendString(b, v.Placement)
-}
-
-func readCreateTaskResp(r *Reader, v *protocol.CreateTaskResp) (err error) {
-	v.Placement, err = r.String()
-	return err
-}
-
 func appendTaskSolicitReq(b []byte, v *protocol.TaskSolicitReq) []byte {
 	b = AppendString(b, v.JobID)
 	return appendSpec(b, v.Spec)
@@ -717,52 +661,6 @@ func readTMOffer(r *Reader, v *protocol.TMOffer) (err error) {
 		return err
 	}
 	v.StalledTasks, err = r.Int()
-	return err
-}
-
-func appendAssignTaskReq(b []byte, v *protocol.AssignTaskReq) []byte {
-	b = AppendString(b, v.JobID)
-	b = AppendString(b, v.JobManager)
-	b = AppendString(b, v.ClientNode)
-	b = appendSpec(b, v.Spec)
-	b = AppendString(b, v.ArchiveName)
-	b = AppendBytes(b, v.Archive)
-	return AppendString(b, v.Digest)
-}
-
-func readAssignTaskReq(r *Reader, v *protocol.AssignTaskReq) (err error) {
-	if v.JobID, err = r.String(); err != nil {
-		return err
-	}
-	if v.JobManager, err = r.String(); err != nil {
-		return err
-	}
-	if v.ClientNode, err = r.String(); err != nil {
-		return err
-	}
-	if v.Spec, err = readSpec(r); err != nil {
-		return err
-	}
-	if v.ArchiveName, err = r.String(); err != nil {
-		return err
-	}
-	if v.Archive, err = r.Bytes(); err != nil {
-		return err
-	}
-	v.Digest, err = r.String()
-	return err
-}
-
-func appendAssignTaskResp(b []byte, v *protocol.AssignTaskResp) []byte {
-	b = AppendBool(b, v.OK)
-	return AppendString(b, v.Reason)
-}
-
-func readAssignTaskResp(r *Reader, v *protocol.AssignTaskResp) (err error) {
-	if v.OK, err = r.Bool(); err != nil {
-		return err
-	}
-	v.Reason, err = r.String()
 	return err
 }
 

@@ -36,13 +36,9 @@ func bodies() []any {
 		&protocol.JMOffer{Node: "n1", FreeMemoryMB: 8000, ActiveJobs: 3},
 		&protocol.CreateJobReq{Name: "job", Req: protocol.JobRequirements{MinMemoryMB: 1}, ClientNode: "client-1"},
 		&protocol.CreateJobResp{JobID: "n1-job7"},
-		&protocol.CreateTaskReq{JobID: "j", Spec: specFixture("t1"), ArchiveName: "a.jar", Archive: []byte{1, 2, 3}, Digest: "deadbeef"},
-		&protocol.CreateTaskResp{Placement: "n2"},
 		&protocol.TaskSolicitReq{JobID: "j", Spec: specFixture("probe")},
 		&protocol.TMOffer{Node: "n3", FreeMemoryMB: 4000, RunningTasks: 2,
 			ResidentDigests: []string{"d1", "d2"}, StalledTasks: 1},
-		&protocol.AssignTaskReq{JobID: "j", JobManager: "n1", ClientNode: "c", Spec: specFixture("t2"), ArchiveName: "a.jar", Archive: []byte{9}, Digest: "d"},
-		&protocol.AssignTaskResp{OK: true, Reason: ""},
 		&protocol.CreateTasksReq{
 			JobID: "j",
 			Tasks: []protocol.TaskCreate{
@@ -169,6 +165,61 @@ func TestTMOfferLegacyDecodesCold(t *testing.T) {
 	want := protocol.TMOffer{Node: "n4", FreeMemoryMB: 512, RunningTasks: 3}
 	if !reflect.DeepEqual(out, want) {
 		t.Errorf("legacy decode got %+v want %+v", out, want)
+	}
+}
+
+// TestPayloadIDsPinned: a payload type id is wire format. Every surviving
+// id keeps the number it had before the per-task bodies were retired.
+func TestPayloadIDsPinned(t *testing.T) {
+	for id, want := range map[uint64]uint64{
+		tJobRequirements: 1,
+		tJMOffer:         2,
+		tCreateJobReq:    3,
+		tCreateJobResp:   4,
+		tTaskSolicitReq:  7,
+		tTMOffer:         8,
+		tCreateTasksReq:  11,
+		tCreateTasksResp: 12,
+		tAssignTasksReq:  13,
+		tAssignTasksResp: 14,
+		tFetchBlobReq:    15,
+		tFetchBlobResp:   16,
+		tBlobChunkReq:    17,
+		tBlobChunkResp:   18,
+		tStartJobReq:     19,
+		tExecTaskReq:     20,
+		tTaskEvent:       21,
+		tHeartbeat:       22,
+		tHeartbeatAck:    23,
+		tUserPayload:     24,
+		tCancelJobReq:    25,
+		tJobEvent:        26,
+		tTSOpReq:         27,
+		tTSCancelReq:     28,
+		tTSOpResp:        29,
+		tDataPutReq:      30,
+		tDataResolveReq:  31,
+		tDataLocResp:     32,
+		tStatsPullReq:    33,
+		tStatsReportResp: 34,
+	} {
+		if id != want {
+			t.Errorf("payload id %d, want %d", id, want)
+		}
+	}
+}
+
+// TestRetiredPayloadIDRejected: a payload carrying a retired per-task type
+// id (5, 6, 9, 10) decodes into no surviving body.
+func TestRetiredPayloadIDRejected(t *testing.T) {
+	for _, id := range []uint64{5, 6, 9, 10} {
+		payload := append(header(nil, id), 0, 0, 0, 0)
+		for _, v := range bodies() {
+			out := reflect.New(reflect.TypeOf(v).Elem()).Interface()
+			if err := Default.Unmarshal(payload, out); err == nil {
+				t.Errorf("retired payload id %d decoded as %T", id, out)
+			}
+		}
 	}
 }
 
